@@ -2,9 +2,13 @@
 
 Rounds are simultaneous: round 0 is the seed set, and a healthy vertex joins
 round t+1 exactly when it is still uninfected after round t and at least r of
-its neighbors are infected.  Polluted vertices never become infected.  The
-closure runs in O(|V| + |E|) using per-vertex infected-neighbor counters and
-a frontier of newly infected cells, so each edge is relaxed at most twice.
+its neighbors are infected.  Polluted vertices never become infected.
+
+Each round moves the whole board at once: the infected bitmask is shifted
+one step in each direction, the four shifted masks give the cells with at
+least r infected neighbors, and the healthy ones among them join.  A round
+is a fixed number of O(mn / word size) big-int operations, so a closure
+costs O(rounds * mn / word size), at most O(mn^2 / word size).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError, ParameterError
-from .grid import CellSet, PollutedInstance, adjacency_lists
+from .grid import CellSet, PollutedInstance, Shifts
 
 
 @dataclass(frozen=True)
@@ -43,68 +47,40 @@ def _check_inputs(instance: PollutedInstance, seeds: CellSet, r: int) -> None:
 
 
 def _closure(
-    adj: tuple[tuple[int, ...], ...],
-    blocked: int,
-    seed_mask: int,
-    r: int,
-    collect_rounds: bool,
-) -> tuple[int, list[int] | None]:
-    """Run the closure on raw bitmasks; ``blocked`` marks polluted cells."""
-    dead = blocked | seed_mask
-    infected = seed_mask
-    rounds = [seed_mask] if collect_rounds else None
-
-    frontier = []
-    mask = seed_mask
-    while mask:
-        low = mask & -mask
-        frontier.append(low.bit_length() - 1)
-        mask ^= low
-
-    counts = bytearray(len(adj))
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if dead >> v & 1:
-                    continue
-                c = counts[v] + 1
-                counts[v] = c
-                if c >= r:
-                    dead |= 1 << v
-                    nxt.append(v)
-        if not nxt:
-            break
-        round_mask = 0
-        for v in nxt:
-            round_mask |= 1 << v
-        infected |= round_mask
-        if collect_rounds:
-            rounds.append(round_mask)
-        frontier = nxt
-    return infected, rounds
-
-
-def closure_mask(
-    adj: tuple[tuple[int, ...], ...], blocked: int, seed_mask: int, r: int
+    shifts: Shifts, blocked: int, seed_mask: int, r: int, rounds: list[int] | None
 ) -> int:
+    """Run the closure on raw bitmasks; ``blocked`` marks polluted cells.
+
+    Each round's newly infected mask is appended to ``rounds`` if given.
+    """
+    infected = seed_mask
+    healthy = shifts.full & ~(blocked | seed_mask)
+    while True:
+        new = shifts.at_least(infected, r) & healthy
+        if not new:
+            return infected
+        infected |= new
+        healthy ^= new
+        if rounds is not None:
+            rounds.append(new)
+
+
+def closure_mask(shifts: Shifts, blocked: int, seed_mask: int, r: int) -> int:
     """Raw-bitmask closure for tight search loops; no validation, no trace."""
-    final, _ = _closure(adj, blocked, seed_mask, r, False)
-    return final
+    return _closure(shifts, blocked, seed_mask, r, None)
 
 
 def percolate(instance: PollutedInstance, seeds: CellSet, r: int = 2) -> PercolationTrace:
     """Run the process to its fixpoint and return the full trace."""
     _check_inputs(instance, seeds, r)
     spec = instance.spec
-    adj = adjacency_lists(spec)
-    final_mask, round_masks = _closure(adj, instance.polluted.mask, seeds.mask, r, True)
-    residual_mask = instance.residual.mask
+    round_masks = [seeds.mask]
+    final_mask = _closure(Shifts.of(spec), instance.polluted.mask, seeds.mask, r, round_masks)
     return PercolationTrace(
         instance=instance,
         rounds=tuple(CellSet(spec, mask) for mask in round_masks),
         final=CellSet(spec, final_mask),
-        percolated=final_mask == residual_mask,
+        percolated=final_mask == instance.residual.mask,
         round_count=len(round_masks) - 1,
     )
 
@@ -112,6 +88,5 @@ def percolate(instance: PollutedInstance, seeds: CellSet, r: int = 2) -> Percola
 def is_percolating(instance: PollutedInstance, seeds: CellSet, r: int = 2) -> bool:
     """True iff the closure infects every residual vertex.  Skips trace bookkeeping."""
     _check_inputs(instance, seeds, r)
-    adj = adjacency_lists(instance.spec)
-    final_mask, _ = _closure(adj, instance.polluted.mask, seeds.mask, r, False)
+    final_mask = _closure(Shifts.of(instance.spec), instance.polluted.mask, seeds.mask, r, None)
     return final_mask == instance.residual.mask

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyGraphError, InvalidVertexError, ParameterError
@@ -107,6 +106,59 @@ def neighbors(spec: GridSpec, v: tuple[int, int]) -> list[Vertex]:
     return out
 
 
+class Shifts(NamedTuple):
+    """Bitmask constants for moving a cell set one step in each direction.
+
+    Bit ``p`` has its left/right neighbors at ``p -/+ 1`` and its up/down
+    neighbors at ``p -/+ m``.  Row ends are cleared before a sideways shift;
+    on the torus they, and the top and bottom rows, rotate in instead.
+    """
+
+    m: int
+    size: int
+    full: int
+    first: int
+    last: int
+    not_first: int
+    not_last: int
+    wrap: bool
+
+    @classmethod
+    def of(cls, spec: GridSpec) -> "Shifts":
+        full = (1 << spec.size) - 1
+        first = full // ((1 << spec.m) - 1)
+        last = first << (spec.m - 1)
+        wrap = spec.topology is Topology.TORUS
+        return cls(spec.m, spec.size, full, first, last, full ^ first, full ^ last, wrap)
+
+    def at_least(self, x: int, r: int) -> int:
+        """Cells with at least ``r`` neighbors in ``x``; bits off the board may be set."""
+        m, size, _, first, last, not_first, not_last, wrap = self
+        if wrap:
+            a = (x & not_last) << 1 | (x & last) >> (m - 1)
+            b = (x & not_first) >> 1 | (x & first) << (m - 1)
+            c = x << m | x >> (size - m)
+            d = x >> m | x << (size - m)
+        else:
+            a = (x & not_last) << 1
+            b = (x & not_first) >> 1
+            c = x << m
+            d = x >> m
+        if r == 2:
+            return a & b | c & d | (a | b) & (c | d)
+        if r == 1:
+            return a | b | c | d
+        if r == 3:
+            return a & b & (c | d) | c & d & (a | b)
+        if r == 4:
+            return a & b & c & d
+        return 0
+
+    def shared_edges(self, x: int) -> int:
+        """Grid edges with both ends in ``x``."""
+        return (x & x >> 1 & self.not_last).bit_count() + (x & x >> self.m).bit_count()
+
+
 @dataclass(frozen=True)
 class CellSet:
     """Immutable set of vertices of one host graph, stored as a bitmask."""
@@ -197,27 +249,8 @@ class PollutedInstance:
 
 def min_degree(instance: PollutedInstance) -> int:
     """Minimum degree of the residual graph (polluted vertices removed)."""
-    residual = instance.residual
+    residual = instance.residual.mask
     if not residual:
         raise EmptyGraphError("every vertex is polluted")
-    best = 4
-    for v in residual:
-        deg = sum(1 for u in neighbors(instance.spec, v) if u in residual)
-        if deg < best:
-            best = deg
-            if best == 0:
-                break
-    return best
-
-
-@lru_cache(maxsize=None)
-def _adjacency(m: int, n: int, topology: Topology) -> tuple[tuple[int, ...], ...]:
-    spec = GridSpec(m, n, topology)
-    return tuple(
-        tuple(spec.index(u) for u in neighbors(spec, v)) for v in spec.vertices()
-    )
-
-
-def adjacency_lists(spec: GridSpec) -> tuple[tuple[int, ...], ...]:
-    """Neighbor indices per canonical cell index, cached per board shape."""
-    return _adjacency(spec.m, spec.n, spec.topology)
+    shifts = Shifts.of(instance.spec)
+    return next((d for d in (4, 3, 2, 1) if not residual & ~shifts.at_least(residual, d)), 0)

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .engine import closure_mask
 from .errors import BudgetExceededError, ParameterError
-from .grid import CellSet, PollutedInstance, Topology, adjacency_lists, grid
+from .grid import CellSet, PollutedInstance, Shifts, Topology, grid
 from .perimeter import min_perimeter, perimeter_lower_bound, shape_perimeter
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -58,7 +58,7 @@ class _Budget:
 
 
 def _min_search(
-    adj: tuple[tuple[int, ...], ...],
+    shifts: Shifts,
     blocked: int,
     residual: int,
     r: int,
@@ -70,21 +70,9 @@ def _min_search(
     t = residual.bit_count()
     if t == 0:
         return 0, 0
-    forced = 0
-    free = []
-    rem = residual
-    while rem:
-        low = rem & -rem
-        v = low.bit_length() - 1
-        rem ^= low
-        deg = 0
-        for u in adj[v]:
-            if residual >> u & 1:
-                deg += 1
-        if deg < r:
-            forced |= low
-        else:
-            free.append(v)
+    forced = residual & ~shifts.at_least(residual, r)
+    unforced = residual ^ forced
+    free = [v for v in range(shifts.size) if unforced >> v & 1]
     hi = t if cap is None else min(cap, t)
     lo = max(s0, forced.bit_count(), 1)
     for s in range(lo, hi + 1):
@@ -95,7 +83,7 @@ def _min_search(
             for v in combo:
                 seed_mask |= 1 << v
             bud.tick()
-            if closure_mask(adj, blocked, seed_mask, r) == residual:
+            if closure_mask(shifts, blocked, seed_mask, r) == residual:
                 return s, seed_mask
     return None, None
 
@@ -114,10 +102,10 @@ def min_percolating_exact(
         s0 = perimeter_lower_bound(instance)
     else:
         s0 = 1
-    adj = adjacency_lists(spec)
+    shifts = Shifts.of(spec)
     bud = _Budget(budget)
     try:
-        size, witness_mask = _min_search(adj, instance.polluted.mask, residual, r, s0, None, bud)
+        size, witness_mask = _min_search(shifts, instance.polluted.mask, residual, r, s0, None, bud)
     except _OutOfBudget:
         raise BudgetExceededError(
             f"budget of {budget} closure evaluations exhausted at seed size {bud.level}",
@@ -135,23 +123,16 @@ def _sweep_setup(m: int, n: int, k: int, r: int):
     spec = grid(m, n)
     if not 0 <= k <= spec.size:
         raise ParameterError(f"need 0 <= k <= {spec.size}, got k={k}")
-    adj = adjacency_lists(spec)
-    edges = [(u, v) for u in range(spec.size) for v in adj[u] if v > u]
-    return spec, adj, edges
+    return spec, Shifts.of(spec)
 
 
-def _residual_perimeter_floor(t: int, amask: int, edges: list[tuple[int, int]]) -> int:
-    e = 0
-    for u, v in edges:
-        if not (amask >> u & 1 or amask >> v & 1):
-            e += 1
-    return (4 * t - 2 * e + 3) // 4
+def _residual_perimeter_floor(t: int, residual: int, shifts: Shifts) -> int:
+    return (4 * t - 2 * shifts.shared_edges(residual) + 3) // 4
 
 
 def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Exact best case over pollution: min over all |A| = k of m(G - A, r)."""
-    spec, adj, edges = _sweep_setup(m, n, k, r)
-    full = (1 << spec.size) - 1
+    spec, shifts = _sweep_setup(m, n, k, r)
     t = spec.size - k
     if t == 0:
         return 0
@@ -163,9 +144,10 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
             amask = 0
             for v in combo:
                 amask |= 1 << v
-            s0 = _residual_perimeter_floor(t, amask, edges) if r == 2 else 1
+            residual = shifts.full ^ amask
+            s0 = _residual_perimeter_floor(t, residual, shifts) if r == 2 else 1
             cap = None if best is None else best - 1
-            size, _ = _min_search(adj, amask, full ^ amask, r, s0, cap, bud)
+            size, _ = _min_search(shifts, amask, residual, r, s0, cap, bud)
             if size is not None and (best is None or size < best):
                 best = size
                 if best <= floor:
@@ -183,8 +165,7 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
 
 def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Exact worst case over pollution: max over all |A| = k of m(G - A, r)."""
-    spec, adj, edges = _sweep_setup(m, n, k, r)
-    full = (1 << spec.size) - 1
+    spec, shifts = _sweep_setup(m, n, k, r)
     t = spec.size - k
     if t == 0:
         return 0
@@ -195,8 +176,9 @@ def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
             amask = 0
             for v in combo:
                 amask |= 1 << v
-            s0 = _residual_perimeter_floor(t, amask, edges) if r == 2 else 1
-            size, _ = _min_search(adj, amask, full ^ amask, r, s0, None, bud)
+            residual = shifts.full ^ amask
+            s0 = _residual_perimeter_floor(t, residual, shifts) if r == 2 else 1
+            size, _ = _min_search(shifts, amask, residual, r, s0, None, bud)
             assert size is not None
             if best is None or size > best:
                 best = size

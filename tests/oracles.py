@@ -39,6 +39,29 @@ def naive_closure(m, n, topology, polluted, seeds, r):
     return infected
 
 
+def naive_rounds(m, n, topology, polluted, seeds, r):
+    """Simultaneous rounds: each later set holds the cells that join together.
+
+    Every healthy, uninfected cell is tested against the infected set as it
+    stood at the end of the previous round; the result lists the seed set
+    followed by each nonempty round.
+    """
+    cells = {(i, j) for i in range(1, m + 1) for j in range(1, n + 1)}
+    blocked = set(polluted)
+    infected = set(seeds)
+    rounds = [set(seeds)]
+    while True:
+        joining = {
+            v
+            for v in cells - infected - blocked
+            if sum(1 for u in infected if naive_adjacent(m, n, topology, u, v)) >= r
+        }
+        if not joining:
+            return rounds
+        rounds.append(joining)
+        infected |= joining
+
+
 def canonical_cells(m: int, n: int):
     """Cells in the package's canonical order: top row first, left to right."""
     return [(i, j) for j in range(n, 0, -1) for i in range(1, m + 1)]

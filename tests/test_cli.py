@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +198,22 @@ def test_render_stdout_and_file(board, tmp_path, capsys):
 
 def test_no_subcommand_is_usage_error():
     assert cli.run([]) == 2
+
+
+@pytest.mark.parametrize("module", ["pgrid", "pgrid.cli"])
+@pytest.mark.parametrize(
+    "argv", [[], ["verify", "perimeter", "--max-t", "3", "--trace-samples", "0"]]
+)
+def test_python_dash_m_matches_console_script(module, argv, capsys, monkeypatch):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    # the console script's entry point, ``pgrid = pgrid.cli:main``
+    monkeypatch.setattr(sys, "argv", ["pgrid", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == (2 if not argv else 0)
+    assert (proc.returncode, proc.stdout) == (exc.value.code, capsys.readouterr().out)

@@ -29,9 +29,9 @@ o.o.o.oX
 @st.composite
 def small_instances(draw, topologies=("grid",)):
     topology = draw(st.sampled_from(topologies))
-    low = 3 if topology == "torus" else 1
-    m = draw(st.integers(low, 4))
-    n = draw(st.integers(low, 4))
+    low, high = (3, 6) if topology == "torus" else (1, 7)
+    m = draw(st.integers(low, high))
+    n = draw(st.integers(low, high))
     spec = torus(m, n) if topology == "torus" else grid(m, n)
     cells = list(spec.vertices())
     polluted = draw(st.sets(st.sampled_from(cells)))
@@ -95,7 +95,7 @@ def test_rejects_bad_inputs():
         percolate(instance, CellSet.from_vertices(grid(3, 3), [(1, 1)]), 2)
 
 
-@given(case=small_instances(topologies=("grid", "torus")), r=st.integers(1, 3))
+@given(case=small_instances(topologies=("grid", "torus")), r=st.integers(1, 5))
 @settings(max_examples=150)
 def test_trace_invariants(case, r):
     instance, seeds = case
@@ -116,8 +116,8 @@ def test_trace_invariants(case, r):
     assert is_percolating(instance, seeds, r) == trace.percolated
 
 
-@given(case=small_instances(topologies=("grid", "torus")), r=st.integers(1, 3))
-@settings(max_examples=100)
+@given(case=small_instances(topologies=("grid", "torus")), r=st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
 def test_final_matches_sequential_reference_closure(case, r):
     instance, seeds = case
     spec = instance.spec
@@ -125,11 +125,27 @@ def test_final_matches_sequential_reference_closure(case, r):
         spec.m,
         spec.n,
         spec.topology.value,
-        {(v.i, v.j) for v in instance.polluted},
+        _cells(instance.polluted),
         _cells(seeds),
         r,
     )
     assert _cells(percolate(instance, seeds, r).final) == expected
+
+
+@given(case=small_instances(topologies=("grid", "torus")), r=st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_rounds_match_simultaneous_reference(case, r):
+    instance, seeds = case
+    spec = instance.spec
+    expected = oracles.naive_rounds(
+        spec.m,
+        spec.n,
+        spec.topology.value,
+        _cells(instance.polluted),
+        _cells(seeds),
+        r,
+    )
+    assert [_cells(cells) for cells in percolate(instance, seeds, r).rounds] == expected
 
 
 @given(case=small_instances(), r=st.integers(1, 3), drop=st.data())

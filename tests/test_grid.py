@@ -17,6 +17,8 @@ from pgrid import (
     torus,
 )
 
+from oracles import naive_adjacent
+
 dims = st.integers(min_value=1, max_value=6)
 torus_dims = st.integers(min_value=3, max_value=6)
 
@@ -168,6 +170,19 @@ def test_min_degree_examples():
     assert min_degree(PollutedInstance.of(grid(3, 3), [])) == 2
     assert min_degree(PollutedInstance.of(torus(4, 4), [])) == 4
     assert min_degree(PollutedInstance.of(grid(3, 3), [(1, 2), (2, 1)])) == 0
+
+
+@given(m=dims, n=dims, wrap=st.booleans(), data=st.data())
+def test_min_degree_matches_coordinate_adjacency(m, n, wrap, data):
+    if wrap and (m < 3 or n < 3):
+        m, n = max(m, 3), max(n, 3)
+    spec = torus(m, n) if wrap else grid(m, n)
+    cells = [(v.i, v.j) for v in spec.vertices()]
+    residual = data.draw(st.sets(st.sampled_from(cells), min_size=1))
+    instance = PollutedInstance.of(spec, [c for c in cells if c not in residual])
+    topology = spec.topology.value
+    degrees = [sum(1 for u in residual if naive_adjacent(m, n, topology, u, v)) for v in residual]
+    assert min_degree(instance) == min(degrees)
 
 
 def test_min_degree_needs_a_residual_vertex():

@@ -32,7 +32,10 @@ SMALL_BOARDS = [
     ("grid", 2, 3),
     ("grid", 3, 3),
     ("grid", 4, 2),
+    ("grid", 1, 4),
+    ("grid", 4, 1),
     ("torus", 3, 3),
+    ("torus", 4, 3),
 ]
 
 
@@ -42,7 +45,7 @@ def tiny_instances(draw):
     spec = grid(m, n) if topology == "grid" else torus(m, n)
     cells = [(v.i, v.j) for v in spec.vertices()]
     polluted = draw(st.sets(st.sampled_from(cells), max_size=3))
-    r = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 5))
     return spec, frozenset(polluted), r
 
 
@@ -88,6 +91,22 @@ def test_min_percolating_is_deterministic():
     assert first.size == 4
     assert _cells(first.witness) == {(1, 4), (3, 4), (4, 3), (1, 1)}
     assert first.nodes_explored == 138
+
+
+@pytest.mark.parametrize(
+    "spec,r,size,nodes,witness_mask",
+    [
+        (grid(5, 5), 2, 5, 2076, 0x100415),
+        (grid(6, 5), 2, 6, 3360, 0x100102B),
+        (torus(5, 5), 2, 4, 2980, 0x8105),
+        (torus(4, 4), 3, 6, 8345, 0x8525),
+        (grid(3, 3), 4, 8, 1, 0x1EF),
+        (grid(2, 2), 5, 4, 1, 0xF),
+    ],
+)
+def test_min_percolating_search_order_is_frozen(spec, r, size, nodes, witness_mask):
+    result = min_percolating_exact(PollutedInstance.of(spec), r)
+    assert (result.size, result.nodes_explored, result.witness.mask) == (size, nodes, witness_mask)
 
 
 def test_min_percolating_rejects_bad_threshold_and_budget():
