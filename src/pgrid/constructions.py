@@ -16,7 +16,7 @@ from math import isqrt
 from .engine import is_percolating
 from .errors import InternalConsistencyError, OutOfHypothesisError, ParameterError
 from .formulas import _check_grid_shape, independent_interior_capacity, mkmin
-from .grid import CellSet, PollutedInstance, Vertex, grid
+from .grid import CellSet, GridSpec, PollutedInstance, Vertex, grid
 
 
 @dataclass(frozen=True)
@@ -45,25 +45,26 @@ def _alternating_path_seeds(cols: int, rows: int) -> list[Vertex]:
     return seeds
 
 
-def _check_small_k(m: int, n: int, k: int) -> None:
+def _check_small_k(m: int, n: int, k: int) -> GridSpec:
     _check_grid_shape(m, n)
     if not 1 <= k <= (m - n) * n:
         raise ParameterError(f"need 1 <= k <= (m-n)n = {(m - n) * n}, got k={k}")
+    return grid(m, n)
 
 
 def pollution_small_k(m: int, n: int, k: int) -> CellSet:
     """The last floor(k/n) full columns plus leftovers down the next column's top."""
-    _check_small_k(m, n, k)
+    spec = _check_small_k(m, n, k)
     ell = k // n
     cells = [(i, j) for i in range(m - ell + 1, m + 1) for j in range(1, n + 1)]
     cells += [(m - ell, n - d) for d in range(k - ell * n)]
-    return CellSet.from_vertices(grid(m, n), cells)
+    return CellSet.from_vertices(spec, cells)
 
 
 def seeds_small_k(m: int, n: int, k: int) -> CellSet:
     """Alternating seeds along column 1 and row 1 of the surviving m-ell columns."""
-    _check_small_k(m, n, k)
-    return CellSet.from_vertices(grid(m, n), _alternating_path_seeds(m - k // n, n))
+    spec = _check_small_k(m, n, k)
+    return CellSet.from_vertices(spec, _alternating_path_seeds(m - k // n, n))
 
 
 def _verified_witness(instance: PollutedInstance, seeds: CellSet, m: int, n: int, k: int) -> ExtremalWitness:
@@ -86,6 +87,7 @@ def extremal_large_k(m: int, n: int, k: int) -> ExtremalWitness:
     pivot = (m - n) * n
     if not pivot <= k <= m * n:
         raise ParameterError(f"need (m-n)n = {pivot} <= k <= {m * n}, got k={k}")
+    spec = grid(m, n)
     t = m * n - k
     x = isqrt(t)
     o = t - x * x
@@ -99,7 +101,6 @@ def extremal_large_k(m: int, n: int, k: int) -> ExtremalWitness:
         cols = rows = x + 1
     else:
         cols = rows = x
-    spec = grid(m, n)
     polluted = CellSet.from_vertices(spec, residual).complement()
     seeds = CellSet.from_vertices(spec, _alternating_path_seeds(cols, rows))
     return _verified_witness(PollutedInstance(spec, polluted), seeds, m, n, k)
@@ -135,10 +136,6 @@ def pollution_max_independent(m: int, n: int, k: int) -> CellSet:
         raise OutOfHypothesisError(
             f"k={k} exceeds the {m}x{n} grid's independent interior capacity {cap}"
         )
-    cells = [
-        (i, j)
-        for i in range(2, m)
-        for j in range(2, n)
-        if (i + j) % 2 == 0
-    ]
-    return CellSet.from_vertices(grid(m, n), cells[:k])
+    spec = grid(m, n)
+    cells = [(i, j) for i in range(2, m) for j in range(2, n) if (i + j) % 2 == 0]
+    return CellSet.from_vertices(spec, cells[:k])

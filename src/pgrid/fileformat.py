@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from .errors import InvariantError, ParameterError, ParseError
-from .grid import CellSet, GridSpec, PollutedInstance, Topology
+from .grid import CellSet, GridSpec, PollutedInstance, Topology, _mask_of, _paint, _rows
 
 HEADER = "pgrid v1"
 CH_HEALTHY = "."
@@ -21,13 +21,15 @@ CH_POLLUTED = "X"
 CH_SEED = "o"
 
 _META_RE = re.compile(r"^m=(\d+) n=(\d+) topology=(grid|torus)$")
+_BAD_CELL_RE = re.compile(f"[^{re.escape(CH_HEALTHY + CH_POLLUTED + CH_SEED)}]")
 
 
 def parse_instance(text: str) -> tuple[PollutedInstance, CellSet]:
     """Parse a document into an instance and its (possibly empty) seed set.
 
     Error line and column numbers are 1-based positions in the original text,
-    counting any leading comment lines.
+    counting any leading comment lines.  Linear in the document's length:
+    rows are checked with one regex scan each and read into masks whole.
     """
     lines = text.splitlines()
     start = 0
@@ -46,37 +48,31 @@ def parse_instance(text: str) -> tuple[PollutedInstance, CellSet]:
     except ParameterError as exc:
         raise ParseError(str(exc), meta_no) from exc
 
-    polluted_mask = 0
-    seed_mask = 0
-    for row in range(spec.n):
-        line_no = meta_no + 1 + row
-        if line_no > len(lines):
-            raise ParseError(f"expected {spec.n} rows, found {row}", line_no)
-        line = lines[line_no - 1]
+    body = lines[meta_no : meta_no + spec.n]
+    for row, line in enumerate(body, start=meta_no + 1):
         if len(line) != spec.m:
             raise ParseError(
-                f"row has {len(line)} cells, expected {spec.m}",
-                line_no,
-                min(len(line), spec.m) + 1,
+                f"row has {len(line)} cells, expected {spec.m}", row, min(len(line), spec.m) + 1
             )
-        for col, ch in enumerate(line):
-            bit = 1 << (row * spec.m + col)
-            if ch == CH_POLLUTED:
-                polluted_mask |= bit
-            elif ch == CH_SEED:
-                seed_mask |= bit
-            elif ch != CH_HEALTHY:
-                raise ParseError(f"invalid cell character {ch!r}", line_no, col + 1)
+        bad = _BAD_CELL_RE.search(line)
+        if bad is not None:
+            raise ParseError(f"invalid cell character {bad.group()!r}", row, bad.start() + 1)
+    if len(body) < spec.n:
+        raise ParseError(f"expected {spec.n} rows, found {len(body)}", meta_no + 1 + len(body))
     for extra in range(meta_no + spec.n, len(lines)):
         if lines[extra].strip():
             raise ParseError("unexpected content after the last row", extra + 1)
 
-    instance = PollutedInstance(spec, CellSet(spec, polluted_mask))
-    return instance, CellSet(spec, seed_mask)
+    cells = "".join(body).encode("ascii")
+    instance = PollutedInstance(spec, CellSet(spec, _mask_of(cells, CH_POLLUTED)))
+    return instance, CellSet(spec, _mask_of(cells, CH_SEED))
 
 
 def write_instance(instance: PollutedInstance, seeds: CellSet | None = None) -> str:
-    """Render an instance (and optional seed set) as a pgrid v1 document."""
+    """Render an instance (and optional seed set) as a pgrid v1 document.
+
+    Linear in the board size: each polluted and seeded cell is painted once.
+    """
     spec = instance.spec
     if seeds is None:
         seeds = CellSet(spec)
@@ -85,16 +81,8 @@ def write_instance(instance: PollutedInstance, seeds: CellSet | None = None) -> 
     if seeds & instance.polluted:
         raise InvariantError("a seed on a polluted cell cannot be represented")
 
+    canvas = bytearray(CH_HEALTHY * spec.size, "ascii")
+    _paint(canvas, instance.polluted.mask, CH_POLLUTED)
+    _paint(canvas, seeds.mask, CH_SEED)
     lines = [HEADER, f"m={spec.m} n={spec.n} topology={spec.topology.value}"]
-    for row in range(spec.n):
-        chars = []
-        for col in range(spec.m):
-            bit = row * spec.m + col
-            if instance.polluted.mask >> bit & 1:
-                chars.append(CH_POLLUTED)
-            elif seeds.mask >> bit & 1:
-                chars.append(CH_SEED)
-            else:
-                chars.append(CH_HEALTHY)
-        lines.append("".join(chars))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _rows(canvas, spec.m)) + "\n"

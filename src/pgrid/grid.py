@@ -4,7 +4,8 @@ A host graph is an ``m x n`` grid (Cartesian product of two paths) or torus
 (product of two cycles).  Vertices are 1-based pairs ``(i, j)`` with column
 ``i`` in ``[1, m]`` and row ``j`` in ``[1, n]``.  Cell sets are immutable and
 backed by a single bitmask over the canonical cell index, which enumerates
-rows top down (``j = n`` first) and columns left to right.
+rows top down (``j = n`` first) and columns left to right, so index ``p`` is
+vertex ``(p % m + 1, n - p // m)``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyGraphError, InvalidVertexError, ParameterError
+
+#: Largest board, in cells, that :class:`GridSpec` accepts: every cell set is a
+#: big int with a bit per cell, so a huge board would exhaust memory, not fail.
+#: The closed forms in ``formulas`` take no board and stay uncapped.
+MAX_CELLS = 2**20
 
 
 class Topology(str, Enum):
@@ -40,6 +46,8 @@ class GridSpec:
         if self.topology is Topology.TORUS and (self.m < 3 or self.n < 3):
             # cycles of length < 3 would need multi-edges
             raise ParameterError(f"torus sides must be >= 3, got {self.m}x{self.n}")
+        if self.m * self.n > MAX_CELLS:
+            raise ParameterError(f"{self.m}x{self.n} board exceeds MAX_CELLS = {MAX_CELLS}")
 
     @property
     def size(self) -> int:
@@ -154,9 +162,14 @@ class Shifts(NamedTuple):
             return a & b & c & d
         return 0
 
-    def shared_edges(self, x: int) -> int:
-        """Grid edges with both ends in ``x``."""
-        return (x & x >> 1 & self.not_last).bit_count() + (x & x >> self.m).bit_count()
+    def perimeter(self, x: int) -> int:
+        """Perimeter of the cells of ``x`` as unit squares: 4c - 2e, e the grid edges inside."""
+        shared = (x & x >> 1 & self.not_last).bit_count() + (x & x >> self.m).bit_count()
+        return 4 * x.bit_count() - 2 * shared
+
+    def perimeter_floor(self, x: int) -> int:
+        """ceil(perimeter / 4): no fewer seeds percolate the residual ``x`` with r = 2."""
+        return (self.perimeter(x) + 3) // 4
 
 
 @dataclass(frozen=True)
@@ -185,12 +198,9 @@ class CellSet:
         return self.spec.contains(v) and bool(self.mask >> self.spec.index(v) & 1)
 
     def __iter__(self) -> Iterator[Vertex]:
-        """Members in canonical index order (top row first, left to right)."""
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield self.spec.vertex_at(low.bit_length() - 1)
-            mask ^= low
+        """Members in canonical index order (top row first, left to right), in linear time."""
+        m, n = self.spec.m, self.spec.n
+        return (Vertex(p % m + 1, n - p // m) for p in _set_bits(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -254,3 +264,32 @@ def min_degree(instance: PollutedInstance) -> int:
         raise EmptyGraphError("every vertex is polluted")
     shifts = Shifts.of(instance.spec)
     return next((d for d in (4, 3, 2, 1) if not residual & ~shifts.at_least(residual, d)), 0)
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask`` in ascending order, in linear time."""
+    bits = bin(mask)[:1:-1]
+    p = bits.find("1")
+    while p >= 0:
+        yield p
+        p = bits.find("1", p + 1)
+
+
+def _paint(canvas: bytearray, mask: int, char: str) -> None:
+    """Write ``char`` at every cell of ``mask`` on a canvas of one byte per cell."""
+    code = ord(char)
+    for p in _set_bits(mask):
+        canvas[p] = code
+
+
+def _rows(canvas: bytearray, m: int) -> list[str]:
+    """A canvas as text rows of ``m`` cells, top row first."""
+    text = canvas.decode("ascii")
+    return [text[p : p + m] for p in range(0, len(text), m)]
+
+
+def _mask_of(cells: bytes, char: str) -> int:
+    """Inverse of :func:`_paint`: the mask of the cells that hold ``char``."""
+    code = ord(char)
+    table = b"0" * code + b"1" + b"0" * (255 - code)
+    return int(cells.translate(table)[::-1], 2)

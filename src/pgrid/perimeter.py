@@ -15,7 +15,7 @@ from math import isqrt
 from typing import Iterable
 
 from .errors import OutOfHypothesisError, ParameterError, UnsupportedTopologyError
-from .grid import PollutedInstance, Topology
+from .grid import PollutedInstance, Shifts, Topology
 
 Cell = tuple[int, int]
 
@@ -76,5 +76,4 @@ def perimeter_lower_bound(instance: PollutedInstance) -> int:
     """ceil(perimeter(residual)/4): no fewer seeds can ever percolate with r=2."""
     if instance.spec.topology is not Topology.GRID:
         raise UnsupportedTopologyError("perimeter bound needs a planar embedding")
-    p = shape_perimeter((v.i, v.j) for v in instance.residual)
-    return (p + 3) // 4
+    return Shifts.of(instance.spec).perimeter_floor(instance.residual.mask)

@@ -4,13 +4,15 @@ ASCII emits one frame per round.  Within a frame: 'X' polluted, 'o' seed,
 digits 1-9 (then '+') for the round a cell was infected, '.' not yet or
 never infected.  SVG emits the board once with one group per round carrying
 the same information.  Tori are drawn as flat boards with a wrap annotation.
+Both are linear in the output: ASCII paints each round once into one
+canvas and slices every frame from it, and SVG walks each round's mask once.
 """
 
 from __future__ import annotations
 
 from .engine import PercolationTrace
 from .errors import ParameterError
-from .grid import Topology
+from .grid import Topology, _paint, _rows, _set_bits
 
 _CELL_PX = 20
 _POLLUTED_FILL = "#404040"
@@ -29,59 +31,31 @@ _ROUND_FILLS = (
 )
 
 
-def _round_char(t: int) -> str:
-    if t == 0:
-        return "o"
-    if t <= 9:
-        return str(t)
-    return "+"
-
-
 def _header(trace: PercolationTrace) -> str:
     spec = trace.instance.spec
     wrap = " (edges wrap)" if spec.topology is Topology.TORUS else ""
     return f"{spec.topology.value} {spec.m}x{spec.n}{wrap}"
 
 
-def _infection_rounds(trace: PercolationTrace) -> dict[int, int]:
-    """Canonical cell index -> round in which the cell became infected."""
-    spec = trace.instance.spec
-    when = {}
-    for t, cells in enumerate(trace.rounds):
-        for v in cells:
-            when[spec.index(v)] = t
-    return when
-
-
 def _render_ascii(trace: PercolationTrace) -> str:
     spec = trace.instance.spec
-    polluted = trace.instance.polluted.mask
-    when = _infection_rounds(trace)
+    canvas = bytearray(b"." * spec.size)
+    _paint(canvas, trace.instance.polluted.mask, "X")
     lines = [_header(trace)]
-    for frame in range(len(trace.rounds)):
+    for frame, cells in enumerate(trace.rounds):
+        _paint(canvas, cells.mask, "o123456789"[frame] if frame <= 9 else "+")
         lines.append(f"round {frame}:")
-        for row in range(spec.n):
-            chars = []
-            for col in range(spec.m):
-                idx = row * spec.m + col
-                if polluted >> idx & 1:
-                    chars.append("X")
-                elif idx in when and when[idx] <= frame:
-                    chars.append(_round_char(when[idx]))
-                else:
-                    chars.append(".")
-            lines.append("".join(chars))
+        lines += _rows(canvas, spec.m)
     lines.append(f"percolated: {'true' if trace.percolated else 'false'}")
     return "\n".join(lines) + "\n"
 
 
-def _svg_rect(spec, v, fill: str) -> str:
-    x = (v.i - 1) * _CELL_PX
-    y = (spec.n - v.j) * _CELL_PX
-    return (
-        f'<rect x="{x}" y="{y}" width="{_CELL_PX}" height="{_CELL_PX}" '
-        f'fill="{fill}" stroke="#ffffff"/>'
-    )
+def _svg_rects(m: int, mask: int, fill: str) -> list[str]:
+    return [
+        f'<rect x="{p % m * _CELL_PX}" y="{p // m * _CELL_PX}" '
+        f'width="{_CELL_PX}" height="{_CELL_PX}" fill="{fill}" stroke="#ffffff"/>'
+        for p in _set_bits(mask)
+    ]
 
 
 def _render_svg(trace: PercolationTrace) -> str:
@@ -96,14 +70,12 @@ def _render_svg(trace: PercolationTrace) -> str:
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="{_BOARD_FILL}"/>',
     ]
     parts.append('<g id="polluted">')
-    for v in trace.instance.polluted:
-        parts.append(_svg_rect(spec, v, _POLLUTED_FILL))
+    parts += _svg_rects(spec.m, trace.instance.polluted.mask, _POLLUTED_FILL)
     parts.append("</g>")
     for t, cells in enumerate(trace.rounds):
         fill = _SEED_FILL if t == 0 else _ROUND_FILLS[(t - 1) % len(_ROUND_FILLS)]
         parts.append(f'<g id="round-{t}" data-round="{t}">')
-        for v in cells:
-            parts.append(_svg_rect(spec, v, fill))
+        parts += _svg_rects(spec.m, cells.mask, fill)
         parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

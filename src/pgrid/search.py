@@ -18,8 +18,8 @@ from itertools import combinations
 
 from .engine import closure_mask
 from .errors import BudgetExceededError, ParameterError
-from .grid import CellSet, PollutedInstance, Shifts, Topology, grid
-from .perimeter import min_perimeter, perimeter_lower_bound, shape_perimeter
+from .grid import CellSet, PollutedInstance, Shifts, Topology, _set_bits, grid
+from .perimeter import min_perimeter, shape_perimeter
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -71,10 +71,11 @@ def _min_search(
     if t == 0:
         return 0, 0
     forced = residual & ~shifts.at_least(residual, r)
-    unforced = residual ^ forced
-    free = [v for v in range(shifts.size) if unforced >> v & 1]
     hi = t if cap is None else min(cap, t)
     lo = max(s0, forced.bit_count(), 1)
+    if lo > hi:
+        return None, None
+    free = list(_set_bits(residual ^ forced))
     for s in range(lo, hi + 1):
         bud.level = s
         need = s - forced.bit_count()
@@ -98,11 +99,8 @@ def min_percolating_exact(
     residual = instance.residual.mask
     if residual == 0:
         return SearchResult(0, CellSet(spec), 0)
-    if spec.topology is Topology.GRID and r == 2:
-        s0 = perimeter_lower_bound(instance)
-    else:
-        s0 = 1
     shifts = Shifts.of(spec)
+    s0 = shifts.perimeter_floor(residual) if spec.topology is Topology.GRID and r == 2 else 1
     bud = _Budget(budget)
     try:
         size, witness_mask = _min_search(shifts, instance.polluted.mask, residual, r, s0, None, bud)
@@ -126,8 +124,14 @@ def _sweep_setup(m: int, n: int, k: int, r: int):
     return spec, Shifts.of(spec)
 
 
-def _residual_perimeter_floor(t: int, residual: int, shifts: Shifts) -> int:
-    return (4 * t - 2 * shifts.shared_edges(residual) + 3) // 4
+def _pollutions(shifts: Shifts, k: int, r: int):
+    """Every k-cell pollution in lexicographic order, as (mask, residual, start bound)."""
+    for combo in combinations(range(shifts.size), k):
+        amask = 0
+        for v in combo:
+            amask |= 1 << v
+        residual = shifts.full ^ amask
+        yield amask, residual, shifts.perimeter_floor(residual) if r == 2 else 1
 
 
 def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_BUDGET) -> int:
@@ -140,12 +144,7 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     bud = _Budget(budget)
     best: int | None = None
     try:
-        for combo in combinations(range(spec.size), k):
-            amask = 0
-            for v in combo:
-                amask |= 1 << v
-            residual = shifts.full ^ amask
-            s0 = _residual_perimeter_floor(t, residual, shifts) if r == 2 else 1
+        for amask, residual, s0 in _pollutions(shifts, k, r):
             cap = None if best is None else best - 1
             size, _ = _min_search(shifts, amask, residual, r, s0, cap, bud)
             if size is not None and (best is None or size < best):
@@ -172,12 +171,7 @@ def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     bud = _Budget(budget)
     best: int | None = None
     try:
-        for combo in combinations(range(spec.size), k):
-            amask = 0
-            for v in combo:
-                amask |= 1 << v
-            residual = shifts.full ^ amask
-            s0 = _residual_perimeter_floor(t, residual, shifts) if r == 2 else 1
+        for amask, residual, s0 in _pollutions(shifts, k, r):
             size, _ = _min_search(shifts, amask, residual, r, s0, None, bud)
             assert size is not None
             if best is None or size > best:

@@ -31,8 +31,8 @@ from .formulas import (
     percolation_number_grid,
     percolation_number_torus,
 )
-from .grid import CellSet, GridSpec, PollutedInstance, grid, neighbors, torus
-from .perimeter import min_perimeter, perimeter_lower_bound, shape_perimeter
+from .grid import CellSet, GridSpec, PollutedInstance, Shifts, grid, neighbors, torus
+from .perimeter import min_perimeter, perimeter_lower_bound
 from .search import min_percolating_exact, min_polyomino_perimeter_exact, mkmin_exact
 
 CSV_COLUMNS = ("suite", "m", "n", "k", "expected", "actual", "pass", "elapsed_ms")
@@ -276,6 +276,7 @@ def verify_perimeter(max_t: int, trace_samples: int, seed: int = 0) -> SuiteRepo
 
     rng = random.Random(seed)
     spec = grid(_TRACE_M, _TRACE_N)
+    shifts = Shifts.of(spec)
     cells = list(spec.vertices())
     for sample in range(trace_samples):
         t0 = time.perf_counter()
@@ -290,7 +291,7 @@ def verify_perimeter(max_t: int, trace_samples: int, seed: int = 0) -> SuiteRepo
         ok = True
         for cells_in_round in trace.rounds:
             cumulative |= cells_in_round.mask
-            p = shape_perimeter((v.i, v.j) for v in CellSet(spec, cumulative))
+            p = shifts.perimeter(cumulative)
             if previous is not None and p > previous:
                 ok = False
                 detail = f"perimeter rose {previous} -> {p}"

@@ -67,6 +67,20 @@ def canonical_cells(m: int, n: int):
     return [(i, j) for j in range(n, 0, -1) for i in range(1, m + 1)]
 
 
+def mask_of_cells(m: int, n: int, cells) -> int:
+    """Bitmask with bit p set when the p-th canonical cell is in ``cells``."""
+    shape = set(cells)
+    return sum(1 << p for p, c in enumerate(canonical_cells(m, n)) if c in shape)
+
+
+# Boards one cell wide or high, and boards of 63, 64 and 65 cells, where
+# row-end masks and machine-word boundaries are easiest to get wrong.
+EDGE_SHAPES = [
+    (1, 1), (1, 9), (9, 1), (63, 1), (1, 63), (9, 7), (7, 9),
+    (64, 1), (1, 64), (8, 8), (16, 4), (65, 1), (1, 65), (13, 5), (5, 13),
+]
+
+
 def naive_min_percolating(m, n, topology, polluted, r):
     """Exhaustive minimum by size, first witness in canonical order."""
     residual = [c for c in canonical_cells(m, n) if c not in set(polluted)]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,14 @@ def test_render_stdout_and_file(board, tmp_path, capsys):
     assert cli.run(["render", str(board), "--style", "svg", "-o", str(target)]) == 0
     assert target.read_text().startswith("<svg ")
     assert capsys.readouterr().out == ""
+
+
+def test_oversized_board_is_a_prompt_domain_error(capsys):
+    start = time.perf_counter()
+    code = cli.run(["construct", "-m", "100000", "-n", "100000", "-k", "0"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "MAX_CELLS" in capsys.readouterr().err
 
 
 def test_no_subcommand_is_usage_error():

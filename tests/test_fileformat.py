@@ -14,6 +14,8 @@ from pgrid import (
     write_instance,
 )
 
+import oracles
+
 SAMPLE_DOC = """pgrid v1
 m=8 n=5 topology=grid
 o.....XX
@@ -104,6 +106,12 @@ def test_comment_lines_shift_error_positions():
     assert err.value.column == 2
 
 
+def test_parse_rejects_boards_above_the_cell_cap():
+    with pytest.raises(ParseError, match="MAX_CELLS") as err:
+        parse_instance("pgrid v1\nm=100000 n=100000 topology=grid\n")
+    assert err.value.line == 2
+
+
 def test_parse_rejects_torus_with_short_side():
     with pytest.raises(ParseError) as err:
         parse_instance("pgrid v1\nm=2 n=3 topology=torus\n..\n..\n..\n")
@@ -137,3 +145,33 @@ def test_round_trip_identity(m, n, polluted_bits, seed_bits):
     parsed, parsed_seeds = parse_instance(write_instance(instance, seeds))
     assert parsed == instance
     assert parsed_seeds == seeds
+
+
+@st.composite
+def coordinate_boards(draw):
+    """A board with disjoint polluted and seeded coordinate sets."""
+    wrap = draw(st.booleans())
+    if wrap:
+        m, n = draw(st.integers(3, 6)), draw(st.integers(3, 6))
+    else:
+        small = st.tuples(st.integers(1, 7), st.integers(1, 7))
+        m, n = draw(st.one_of(small, st.sampled_from(oracles.EDGE_SHAPES)))
+    cells = oracles.canonical_cells(m, n)
+    polluted = draw(st.sets(st.sampled_from(cells)))
+    seeds = draw(st.sets(st.sampled_from(cells)).map(lambda s: s - polluted))
+    return m, n, "torus" if wrap else "grid", polluted, seeds
+
+
+@given(board=coordinate_boards())
+def test_write_matches_text_built_from_coordinates(board):
+    m, n, topology, polluted, seeds = board
+    cells = oracles.canonical_cells(m, n)
+    chars = ["X" if c in polluted else "o" if c in seeds else "." for c in cells]
+    rows = ["".join(chars[p : p + m]) for p in range(0, m * n, m)]
+    expected = "\n".join(["pgrid v1", f"m={m} n={n} topology={topology}", *rows]) + "\n"
+    spec = torus(m, n) if topology == "torus" else grid(m, n)
+    instance = PollutedInstance.of(spec, polluted)
+    assert write_instance(instance, CellSet.from_vertices(spec, seeds)) == expected
+    parsed, parsed_seeds = parse_instance(expected)
+    assert set(parsed.polluted) == polluted
+    assert set(parsed_seeds) == seeds

@@ -16,11 +16,13 @@ from pgrid import (
     neighbors,
     torus,
 )
+from pgrid.grid import MAX_CELLS
 
-from oracles import naive_adjacent
+from oracles import EDGE_SHAPES, canonical_cells, naive_adjacent
 
 dims = st.integers(min_value=1, max_value=6)
 torus_dims = st.integers(min_value=3, max_value=6)
+shapes = st.one_of(st.tuples(dims, dims), st.sampled_from(EDGE_SHAPES))
 
 
 def test_grid_spec_rejects_bad_dimensions():
@@ -28,6 +30,15 @@ def test_grid_spec_rejects_bad_dimensions():
         GridSpec(0, 3)
     with pytest.raises(ParameterError):
         GridSpec(3, -1)
+
+
+def test_grid_spec_caps_the_cell_count():
+    assert MAX_CELLS == 2**20
+    assert GridSpec(1024, 1024).size == MAX_CELLS
+    with pytest.raises(ParameterError, match="MAX_CELLS"):
+        GridSpec(1025, 1024)
+    with pytest.raises(ParameterError):
+        torus(100000, 100000)
 
 
 def test_torus_requires_both_sides_at_least_three():
@@ -121,6 +132,17 @@ def test_cellset_iterates_in_canonical_order():
     assert (3, 2) in cells
     assert (2, 2) not in cells
     assert (9, 9) not in cells
+
+
+@given(shape=shapes, data=st.data())
+def test_cellset_iteration_matches_coordinate_scan(shape, data):
+    m, n = shape
+    cells = canonical_cells(m, n)
+    bits = data.draw(st.integers(0, (1 << m * n) - 1))
+    expected = [c for p, c in enumerate(cells) if bits >> p & 1]
+    assert list(CellSet(grid(m, n), bits)) == expected
+    if m >= 3 and n >= 3:
+        assert list(CellSet(torus(m, n), bits)) == expected
 
 
 def test_cellset_operators():

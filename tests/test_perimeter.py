@@ -18,6 +18,7 @@ from pgrid import (
     shared_edge_count,
     torus,
 )
+from pgrid.grid import Shifts
 
 cells_strategy = st.sets(
     st.tuples(st.integers(-5, 5), st.integers(-5, 5)), max_size=20
@@ -110,3 +111,22 @@ def test_full_grid_bound_is_half_the_semiperimeter(m, n):
 def test_perimeter_lower_bound_rejects_torus():
     with pytest.raises(UnsupportedTopologyError):
         perimeter_lower_bound(PollutedInstance.of(torus(3, 3), []))
+
+
+@given(
+    shape=st.one_of(
+        st.tuples(st.integers(1, 9), st.integers(1, 9)), st.sampled_from(oracles.EDGE_SHAPES)
+    ),
+    data=st.data(),
+)
+def test_mask_perimeter_matches_exposed_side_count(shape, data):
+    m, n = shape
+    cells = oracles.canonical_cells(m, n)
+    residual = data.draw(st.sets(st.sampled_from(cells)))
+    spec = grid(m, n)
+    mask = oracles.mask_of_cells(m, n, residual)
+    naive = oracles.naive_perimeter(residual)
+    assert Shifts.of(spec).perimeter(mask) == naive
+    assert Shifts.of(spec).perimeter_floor(mask) == -(-naive // 4)
+    instance = PollutedInstance.of(spec, [c for c in cells if c not in residual])
+    assert perimeter_lower_bound(instance) == -(-naive // 4)

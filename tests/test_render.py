@@ -1,3 +1,7 @@
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from pgrid import (
@@ -12,7 +16,8 @@ from pgrid import (
     write_instance,
 )
 
-from test_fileformat import SAMPLE_DOC
+import oracles
+from test_fileformat import SAMPLE_DOC, coordinate_boards
 
 
 def _trace(spec, polluted, seeds, r=2):
@@ -88,3 +93,58 @@ def test_unknown_style_rejected():
     trace = _trace(grid(2, 2), [], [(1, 1)])
     with pytest.raises(ParameterError):
         render_trace(trace, style="png")
+
+
+def _spec(m, n, topology):
+    return torus(m, n) if topology == "torus" else grid(m, n)
+
+
+@settings(deadline=None)
+@given(board=coordinate_boards(), r=st.integers(1, 3))
+def test_ascii_matches_frames_built_from_coordinates(board, r):
+    m, n, topology, polluted, seeds = board
+    rounds = oracles.naive_rounds(m, n, topology, polluted, seeds, r)
+    when = {c: t for t, cells in enumerate(rounds) for c in cells}
+    healthy = {c for c in oracles.canonical_cells(m, n) if c not in polluted}
+    lines = [f"{topology} {m}x{n}" + (" (edges wrap)" if topology == "torus" else "")]
+    for frame in range(len(rounds)):
+        lines.append(f"round {frame}:")
+        for j in range(n, 0, -1):
+            row = ""
+            for i in range(1, m + 1):
+                t = when.get((i, j), frame + 1)
+                if (i, j) in polluted:
+                    row += "X"
+                else:
+                    row += "." if t > frame else "o123456789+"[min(t, 10)]
+            lines.append(row)
+    lines.append(f"percolated: {'true' if set(when) == healthy else 'false'}")
+    spec = _spec(m, n, topology)
+    trace = percolate(PollutedInstance.of(spec, polluted), CellSet.from_vertices(spec, seeds), r)
+    assert render_trace(trace) == "\n".join(lines) + "\n"
+
+
+_GROUP = re.compile(r'<g id="([^"]+)"[^>]*>\n(.*?)</g>', re.S)
+_RECT = re.compile(r'<rect x="(\d+)" y="(\d+)" width="20" height="20"')
+
+
+@settings(deadline=None)
+@given(board=coordinate_boards())
+def test_svg_rects_match_cells_built_from_coordinates(board):
+    m, n, topology, polluted, seeds = board
+    rounds = oracles.naive_rounds(m, n, topology, polluted, seeds, 2)
+    order = oracles.canonical_cells(m, n)
+
+    def rects(cells):
+        return [((i - 1) * 20, (n - j) * 20) for i, j in order if (i, j) in cells]
+
+    expected = [("polluted", rects(polluted))]
+    expected += [(f"round-{t}", rects(cells)) for t, cells in enumerate(rounds)]
+    spec = _spec(m, n, topology)
+    trace = percolate(PollutedInstance.of(spec, polluted), CellSet.from_vertices(spec, seeds), 2)
+    svg = render_trace(trace, style="svg")
+    groups = [
+        (name, [(int(x), int(y)) for x, y in _RECT.findall(body)])
+        for name, body in _GROUP.findall(svg)
+    ]
+    assert groups == expected
