@@ -185,9 +185,13 @@ class CellSet:
 
     @classmethod
     def from_vertices(cls, spec: GridSpec, vertices: Iterable[tuple[int, int]]) -> "CellSet":
+        m, n = spec.m, spec.n
         mask = 0
         for v in vertices:
-            mask |= 1 << spec.index(v)
+            i, j = v
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise InvalidVertexError(f"vertex {tuple(v)} outside {m}x{n} board")
+            mask |= 1 << ((n - j) * m + i - 1)
         return cls(spec, mask)
 
     @classmethod
@@ -264,6 +268,33 @@ def min_degree(instance: PollutedInstance) -> int:
         raise EmptyGraphError("every vertex is polluted")
     shifts = Shifts.of(instance.spec)
     return next((d for d in (4, 3, 2, 1) if not residual & ~shifts.at_least(residual, d)), 0)
+
+
+def _symmetries(m: int, n: int) -> list[tuple[int, ...]]:
+    """Index permutations of the ``m x n`` grid's automorphisms, the identity left out.
+
+    Entry ``p`` of a table is the image of cell ``p``.  The maps are the two
+    reflections and the half turn, and on a square board also the two
+    transposes and the two quarter turns; maps that fix every cell of a
+    one-wide board, and repeats, are dropped.
+    """
+    a, b = m - 1, n - 1
+    maps = [lambda x, y: (a - x, y), lambda x, y: (x, b - y), lambda x, y: (a - x, b - y)]
+    if m == n:
+        maps += [
+            lambda x, y: (y, x),
+            lambda x, y: (b - y, a - x),
+            lambda x, y: (y, a - x),
+            lambda x, y: (b - y, x),
+        ]
+    identity = tuple(range(m * n))
+    tables = []
+    for f in maps:
+        images = (f(p % m, p // m) for p in identity)
+        table = tuple(y * m + x for x, y in images)
+        if table != identity and table not in tables:
+            tables.append(table)
+    return tables
 
 
 def _set_bits(mask: int) -> Iterator[int]:

@@ -8,6 +8,11 @@ index, so the reported witness is the lexicographically least minimum-size
 set and results are identical run to run.  All oracles share one node
 budget, counted in closure evaluations; exceeding it raises an error
 carrying the bounds proven so far, never a silent approximation.
+
+The pollution sweeps behind ``mkmin_exact`` and ``mkmax_exact`` search one
+pollution per orbit of the grid's reflections and rotations, since those
+maps preserve the percolation number.  Their values are those of the full
+sweep; their budgets count only the closures of the pollutions searched.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from itertools import combinations
 
 from .engine import closure_mask
 from .errors import BudgetExceededError, ParameterError
-from .grid import CellSet, PollutedInstance, Shifts, Topology, _set_bits, grid
+from .grid import CellSet, PollutedInstance, Shifts, Topology, _set_bits, _symmetries, grid
 from .perimeter import min_perimeter, shape_perimeter
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -125,26 +130,72 @@ def _sweep_setup(m: int, n: int, k: int, r: int):
 
 
 def _pollutions(shifts: Shifts, k: int, r: int):
-    """Every k-cell pollution in lexicographic order, as (mask, residual, start bound)."""
+    """Every k-cell pollution in lexicographic order, as (cells, mask, residual, start bound).
+
+    The start bound is the residual's perimeter floor for r = 2, and else the
+    number of healthy cells with fewer than r healthy neighbors, which every
+    percolating set must contain.
+    """
     for combo in combinations(range(shifts.size), k):
         amask = 0
         for v in combo:
             amask |= 1 << v
         residual = shifts.full ^ amask
-        yield amask, residual, shifts.perimeter_floor(residual) if r == 2 else 1
+        if r == 2:
+            s0 = shifts.perimeter_floor(residual)
+        else:
+            s0 = (residual & ~shifts.at_least(residual, r)).bit_count()
+        yield combo, amask, residual, s0
+
+
+class _Orbits:
+    """Picks one pollution per orbit of the grid's automorphism group.
+
+    Every automorphism maps a pollution onto one with the same percolation
+    number, so a sweep need search only the least member of each orbit.  The
+    sweeps meet pollutions in lexicographic order, so the first member of an
+    orbit they meet is that least one, and the very first pollution needs no
+    test.  The tables are built on the first test.
+    """
+
+    __slots__ = ("m", "n", "tables")
+
+    def __init__(self, m: int, n: int):
+        self.m = m
+        self.n = n
+        self.tables: list[tuple[int, ...]] | None = None
+
+    def least(self, combo: tuple[int, ...]) -> bool:
+        """Whether no image of the nonempty sorted ``combo`` sorts before it."""
+        if self.tables is None:
+            self.tables = _symmetries(self.m, self.n)
+        first = combo[0]
+        for q in self.tables:
+            low = min(map(q.__getitem__, combo))
+            if low < first or low == first and tuple(sorted(map(q.__getitem__, combo))) < combo:
+                return False
+        return True
 
 
 def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Exact best case over pollution: min over all |A| = k of m(G - A, r)."""
+    """Exact best case over pollution: min over all |A| = k of m(G - A, r).
+
+    One pollution is searched per orbit of the grid's symmetries, and none
+    whose start bound is no better than the best so far.  The value is that
+    of the full sweep; ``budget`` counts the closures of the searches made.
+    """
     spec, shifts = _sweep_setup(m, n, k, r)
     t = spec.size - k
     if t == 0:
         return 0
     floor = (min_perimeter(t) + 3) // 4 if r == 2 else 1
     bud = _Budget(budget)
+    orbits = _Orbits(m, n)
     best: int | None = None
     try:
-        for amask, residual, s0 in _pollutions(shifts, k, r):
+        for combo, amask, residual, s0 in _pollutions(shifts, k, r):
+            if best is not None and (s0 >= best or not orbits.least(combo)):
+                continue
             cap = None if best is None else best - 1
             size, _ = _min_search(shifts, amask, residual, r, s0, cap, bud)
             if size is not None and (best is None or size < best):
@@ -163,15 +214,23 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
 
 
 def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Exact worst case over pollution: max over all |A| = k of m(G - A, r)."""
+    """Exact worst case over pollution: max over all |A| = k of m(G - A, r).
+
+    One pollution is searched per orbit of the grid's symmetries.  The value
+    is that of the full sweep; ``budget`` counts the closures of the searches
+    made.
+    """
     spec, shifts = _sweep_setup(m, n, k, r)
     t = spec.size - k
     if t == 0:
         return 0
     bud = _Budget(budget)
+    orbits = _Orbits(m, n)
     best: int | None = None
     try:
-        for amask, residual, s0 in _pollutions(shifts, k, r):
+        for combo, amask, residual, s0 in _pollutions(shifts, k, r):
+            if best is not None and not orbits.least(combo):
+                continue
             size, _ = _min_search(shifts, amask, residual, r, s0, None, bud)
             assert size is not None
             if best is None or size > best:

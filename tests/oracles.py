@@ -92,18 +92,31 @@ def naive_min_percolating(m, n, topology, polluted, r):
     raise AssertionError("unreachable: seeding the whole residual percolates")
 
 
-def naive_mkmin(m, n, k, r):
-    return min(
+def naive_pollution_numbers(m, n, k, r):
+    """m(G - A, r) for every k-cell pollution A of the grid; min and max give mkmin, mkmax."""
+    return [
         naive_min_percolating(m, n, "grid", set(a), r)[0]
         for a in combinations(canonical_cells(m, n), k)
-    )
+    ]
 
 
-def naive_mkmax(m, n, k, r):
-    return max(
-        naive_min_percolating(m, n, "grid", set(a), r)[0]
-        for a in combinations(canonical_cells(m, n), k)
-    )
+def naive_symmetries(m, n):
+    """The grid's automorphisms as dicts cell -> image, closed under composition.
+
+    Generated from the reflections (i, j) -> (m+1-i, j) and (i, n+1-j), and
+    on a square board also the transpose (i, j) -> (j, i).
+    """
+    cells = canonical_cells(m, n)
+    moves = [lambda i, j: (m + 1 - i, j), lambda i, j: (i, n + 1 - j)]
+    if m == n:
+        moves.append(lambda i, j: (j, i))
+    group = [{c: c for c in cells}]
+    for g in group:  # the list grows while it is walked, until no new map appears
+        for move in moves:
+            h = {c: move(*g[c]) for c in cells}
+            if h not in group:
+                group.append(h)
+    return group
 
 
 def naive_perimeter(cells) -> int:

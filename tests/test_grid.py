@@ -16,9 +16,9 @@ from pgrid import (
     neighbors,
     torus,
 )
-from pgrid.grid import MAX_CELLS
+from pgrid.grid import MAX_CELLS, _symmetries
 
-from oracles import EDGE_SHAPES, canonical_cells, naive_adjacent
+from oracles import EDGE_SHAPES, canonical_cells, naive_adjacent, naive_symmetries
 
 dims = st.integers(min_value=1, max_value=6)
 torus_dims = st.integers(min_value=3, max_value=6)
@@ -141,6 +141,7 @@ def test_cellset_iteration_matches_coordinate_scan(shape, data):
     bits = data.draw(st.integers(0, (1 << m * n) - 1))
     expected = [c for p, c in enumerate(cells) if bits >> p & 1]
     assert list(CellSet(grid(m, n), bits)) == expected
+    assert CellSet.from_vertices(grid(m, n), reversed(expected)).mask == bits
     if m >= 3 and n >= 3:
         assert list(CellSet(torus(m, n), bits)) == expected
 
@@ -167,6 +168,18 @@ def test_cellset_rejects_foreign_boards_and_bad_masks():
         CellSet(grid(2, 2), 1 << 4)
     with pytest.raises(InvalidVertexError):
         CellSet.from_vertices(grid(2, 2), [(3, 1)])
+
+
+@pytest.mark.parametrize("spec", [grid(3, 2), torus(3, 4)], ids=["grid", "torus"])
+@pytest.mark.parametrize("vertex", [(0, 1), (4, 1), (1, 0), (2, 5)])
+def test_from_vertices_names_the_off_board_vertex(spec, vertex):
+    message = f"vertex {vertex} outside {spec.m}x{spec.n} board"
+    with pytest.raises(InvalidVertexError) as exc:
+        CellSet.from_vertices(spec, [(1, 1), vertex])
+    assert str(exc.value) == message
+    with pytest.raises(InvalidVertexError) as exc:
+        CellSet.from_vertices(spec, [Vertex(*vertex)])
+    assert str(exc.value) == message
 
 
 @given(m=dims, n=dims, bits=st.integers(min_value=0))
@@ -211,3 +224,20 @@ def test_min_degree_needs_a_residual_vertex():
     spec = grid(2, 2)
     with pytest.raises(EmptyGraphError):
         min_degree(PollutedInstance(spec, CellSet.full(spec)))
+
+
+@pytest.mark.parametrize("m,n", [(1, 4), (4, 1), (2, 3), (3, 2), (3, 3), (4, 4), (5, 3)])
+def test_symmetry_tables_are_the_grid_automorphisms(m, n):
+    cells = canonical_cells(m, n)
+    tables = _symmetries(m, n)
+    for q in tables:
+        assert sorted(q) == list(range(m * n))
+        for p, u in enumerate(cells):
+            for s, v in enumerate(cells):
+                images = cells[q[p]], cells[q[s]]
+                assert naive_adjacent(m, n, "grid", *images) == naive_adjacent(m, n, "grid", u, v)
+    group = {tuple(cells.index(g[c]) for c in cells) for g in naive_symmetries(m, n)}
+    identity = tuple(range(m * n))
+    assert identity not in tables
+    assert len(set(tables)) == len(tables) == len(group) - 1
+    assert set(tables) | {identity} == group

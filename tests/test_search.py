@@ -1,3 +1,5 @@
+from itertools import combinations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -17,9 +19,14 @@ from pgrid import (
     mkmin_exact,
     torus,
 )
-from pgrid.search import _fixed_polyominoes
+from pgrid.search import _fixed_polyominoes, _Orbits
 
-from oracles import naive_min_percolating, naive_mkmax, naive_mkmin
+from oracles import (
+    canonical_cells,
+    naive_min_percolating,
+    naive_pollution_numbers,
+    naive_symmetries,
+)
 
 
 def _cells(cellset):
@@ -150,17 +157,44 @@ def test_mkmin_exact_frozen_values(m, n, k, expected):
 
 @pytest.mark.parametrize(
     "m,n,k,expected",
-    [(4, 4, 1, 5), (3, 3, 0, 3), (2, 2, 1, 2), (3, 3, 1, 4), (3, 3, 9, 0)],
+    [
+        (4, 4, 1, 5), (3, 3, 0, 3), (2, 2, 1, 2), (3, 3, 1, 4), (3, 3, 9, 0),
+        (5, 4, 2, 7), (5, 5, 1, 6), (5, 5, 2, 7),
+    ],
 )
 def test_mkmax_exact_frozen_values(m, n, k, expected):
     assert mkmax_exact(m, n, k) == expected
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3)])
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_sweep_oracles_match_naive(m, n, k):
-    assert mkmin_exact(m, n, k) == naive_mkmin(m, n, k, 2)
-    assert mkmax_exact(m, n, k) == naive_mkmax(m, n, k, 2)
+def test_mkmax_exact_searches_one_pollution_per_orbit():
+    # searching all 120 pollutions takes 13,360 closures; their 21 orbits, 2,670
+    assert mkmax_exact(4, 4, 2, budget=3000) == 6
+
+
+# 4x4 stops at k = 1 and runs r = 3 at k = 0 only: the naive oracle needs ~15 s
+# for 4x4, r = 3, k = 1.
+SWEEP_CASES = [
+    (k, m, n) for m, n in [(2, 2), (3, 2), (3, 3), (2, 4), (4, 2), (4, 3)] for k in (0, 1, 2)
+] + [(0, 4, 4), (1, 4, 4)]
+
+
+@pytest.mark.parametrize("k,m,n", SWEEP_CASES)
+def test_sweep_oracles_match_naive(k, m, n):
+    for r in (1, 2) if (m, n, k) == (4, 4, 1) else (1, 2, 3):
+        numbers = naive_pollution_numbers(m, n, k, r)
+        assert mkmin_exact(m, n, k, r) == min(numbers)
+        assert mkmax_exact(m, n, k, r) == max(numbers)
+
+
+@pytest.mark.parametrize("m,n", [(1, 4), (4, 1), (2, 2), (3, 2), (2, 4), (3, 3), (4, 3), (4, 4)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_one_pollution_per_orbit_is_searched(m, n, k):
+    group = naive_symmetries(m, n)
+    orbits = set()
+    for a in combinations(canonical_cells(m, n), k):
+        orbits.add(frozenset(frozenset(g[c] for c in a) for g in group))
+    least = _Orbits(m, n).least
+    assert sum(map(least, combinations(range(m * n), k))) == len(orbits)
 
 
 @pytest.mark.parametrize("m,n", [(3, 2), (3, 3), (4, 2)])
