@@ -3,7 +3,8 @@
 For favorable pollution (small k) the polluted set deletes the last columns
 and the seeds alternate along the first column and first row of what is left.
 For large k the residual is kept as close to a square as possible and seeded
-the same way.  For the worst-pollution lower bound the polluted set is an
+the same way; their masks are built directly by index arithmetic, with no
+coordinate lists.  For the worst-pollution lower bound the polluted set is an
 independent set of interior degree-4 vertices.  Every witness returned here
 is re-checked with the engine before it leaves this module.
 """
@@ -16,7 +17,7 @@ from math import isqrt
 from .engine import is_percolating
 from .errors import InternalConsistencyError, OutOfHypothesisError, ParameterError
 from .formulas import _check_grid_shape, independent_interior_capacity, mkmin
-from .grid import CellSet, GridSpec, PollutedInstance, Vertex, grid
+from .grid import CellSet, GridSpec, PollutedInstance, grid
 
 
 @dataclass(frozen=True)
@@ -28,21 +29,32 @@ class ExtremalWitness:
     claimed_size: int
 
 
-def _alternating_path_seeds(cols: int, rows: int) -> list[Vertex]:
+def _stride(count: int, step: int) -> int:
+    """``count`` set bits, ``step`` apart, starting at bit 0."""
+    return ((1 << step * count) - 1) // ((1 << step) - 1)
+
+
+def _block(spec: GridSpec, cols: int, rows: int, col: int = 1, row: int = 1) -> int:
+    """Mask of columns ``col .. col+cols-1`` times rows ``row .. row+rows-1``."""
+    shift = (spec.n + 1 - row - rows) * spec.m + col - 1
+    return ((1 << cols) - 1) * _stride(rows, spec.m) << shift
+
+
+def _alternating_path_seeds(spec: GridSpec, cols: int, rows: int) -> int:
     """Every other vertex of the path down column 1 then right along row 1.
 
-    The path starts at (1, rows), so seeds sit at its odd positions; when the
-    path has even length its last vertex (cols, 1) is appended as well.  The
-    result has ceil((cols + rows) / 2) vertices.
+    The path starts at (1, rows), so seeds sit at its odd positions: the
+    vertices (1, j) and, for i >= 2, (i, 1) with j and i of the parity of
+    ``rows``; when the path has even length its last vertex (cols, 1) is
+    added as well.  The result has ceil((cols + rows) / 2) vertices.
     """
     if cols == 0 or rows == 0:
-        return []
-    path = [Vertex(1, j) for j in range(rows, 0, -1)]
-    path += [Vertex(i, 1) for i in range(2, cols + 1)]
-    seeds = path[::2]
-    if (cols + rows) % 2 == 1:
-        seeds.append(path[-1])
-    return seeds
+        return 0
+    m, bottom = spec.m, (spec.n - 1) * spec.m
+    column = _stride((rows + 1) // 2, 2 * m) << (spec.n - rows) * m
+    row = _stride((cols - rows % 2) // 2, 2) << 1 + rows % 2
+    last = (cols + rows) % 2 << cols - 1
+    return column | (row | last) << bottom
 
 
 def _check_small_k(m: int, n: int, k: int) -> GridSpec:
@@ -55,16 +67,15 @@ def _check_small_k(m: int, n: int, k: int) -> GridSpec:
 def pollution_small_k(m: int, n: int, k: int) -> CellSet:
     """The last floor(k/n) full columns plus leftovers down the next column's top."""
     spec = _check_small_k(m, n, k)
-    ell = k // n
-    cells = [(i, j) for i in range(m - ell + 1, m + 1) for j in range(1, n + 1)]
-    cells += [(m - ell, n - d) for d in range(k - ell * n)]
-    return CellSet.from_vertices(spec, cells)
+    ell, rest = divmod(k, n)
+    columns = _block(spec, ell, n, m - ell + 1)
+    return CellSet(spec, columns | _block(spec, 1, rest, m - ell, n + 1 - rest))
 
 
 def seeds_small_k(m: int, n: int, k: int) -> CellSet:
     """Alternating seeds along column 1 and row 1 of the surviving m-ell columns."""
     spec = _check_small_k(m, n, k)
-    return CellSet.from_vertices(spec, _alternating_path_seeds(m - k // n, n))
+    return CellSet(spec, _alternating_path_seeds(spec, m - k // n, n))
 
 
 def _verified_witness(instance: PollutedInstance, seeds: CellSet, m: int, n: int, k: int) -> ExtremalWitness:
@@ -91,18 +102,17 @@ def extremal_large_k(m: int, n: int, k: int) -> ExtremalWitness:
     t = m * n - k
     x = isqrt(t)
     o = t - x * x
-    residual = [(i, j) for j in range(1, x + 1) for i in range(1, x + 1)]
+    residual = _block(spec, x, x)
     if 0 < o <= x:
-        residual += [(i, x + 1) for i in range(1, o + 1)]
+        residual |= _block(spec, o, 1, 1, x + 1)
         cols, rows = x, x + 1
     elif o > x:
-        residual += [(i, x + 1) for i in range(1, x + 1)]
-        residual += [(x + 1, j) for j in range(1, o - x + 1)]
+        residual |= _block(spec, x, 1, 1, x + 1) | _block(spec, 1, o - x, x + 1)
         cols = rows = x + 1
     else:
         cols = rows = x
-    polluted = CellSet.from_vertices(spec, residual).complement()
-    seeds = CellSet.from_vertices(spec, _alternating_path_seeds(cols, rows))
+    polluted = CellSet(spec, residual).complement()
+    seeds = CellSet(spec, _alternating_path_seeds(spec, cols, rows))
     return _verified_witness(PollutedInstance(spec, polluted), seeds, m, n, k)
 
 
@@ -113,7 +123,7 @@ def construct_extremal(m: int, n: int, k: int) -> ExtremalWitness:
         raise ParameterError(f"need 0 <= k <= {m * n}, got k={k}")
     if k == 0:
         spec = grid(m, n)
-        seeds = CellSet.from_vertices(spec, _alternating_path_seeds(m, n))
+        seeds = CellSet(spec, _alternating_path_seeds(spec, m, n))
         return _verified_witness(PollutedInstance(spec, CellSet(spec)), seeds, m, n, 0)
     if k <= (m - n) * n:
         instance = PollutedInstance(grid(m, n), pollution_small_k(m, n, k))

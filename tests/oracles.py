@@ -119,6 +119,39 @@ def naive_symmetries(m, n):
     return group
 
 
+def naive_alternating_path(cols, rows):
+    """Every other cell of the path from (1, rows) down column 1 and along row 1, plus its end."""
+    path = [(1, j) for j in range(rows, 0, -1)] + [(i, 1) for i in range(2, cols + 1)]
+    return set(path[::2]) | set(path[-1:])
+
+
+def naive_extremal(m, n, k):
+    """Polluted and seeded cells of the extremal witness for mkmin(m, n, k).
+
+    While k <= (m-n)n the pollution deletes the last k // n columns and the
+    top k % n cells of the column before them.  Beyond that the healthy cells
+    are an x by x square in the lower-left corner (x*x <= mn - k < (x+1)^2),
+    then the rest along a new top row, left to right, and up a new right
+    column.  Either way the seeds alternate along the healthy region's first
+    column and bottom row.
+    """
+    cells = canonical_cells(m, n)
+    if k <= (m - n) * n:
+        width = m - k // n
+        healthy = {(i, j) for i, j in cells if i < width or i == width and j <= n - k % n}
+        return set(cells) - healthy, naive_alternating_path(width, n)
+    t = m * n - k
+    x = 0
+    while (x + 1) * (x + 1) <= t:
+        x += 1
+    extra = [(i, x + 1) for i in range(1, x + 1)] + [(x + 1, j) for j in range(1, x + 1)]
+    healthy = {(i, j) for i in range(1, x + 1) for j in range(1, x + 1)}
+    healthy |= set(extra[: t - x * x])
+    width = max(i for i, _ in healthy) if healthy else 0
+    height = max(j for _, j in healthy) if healthy else 0
+    return set(cells) - healthy, naive_alternating_path(width, height)
+
+
 def naive_perimeter(cells) -> int:
     """Perimeter as the count of cell sides not shared with another cell."""
     shape = set(cells)

@@ -187,6 +187,13 @@ def test_verify_bad_limit_is_domain_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_theorem1_beyond_oracle_reach_exits_one_at_once(capsys):
+    start = time.perf_counter()
+    assert cli.run(["verify", "theorem1", "--max-exhaustive", "30"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "out of oracle reach" in capsys.readouterr().err
+
+
 def test_render_stdout_and_file(board, tmp_path, capsys):
     assert cli.run(["render", str(board)]) == 0
     out = capsys.readouterr().out

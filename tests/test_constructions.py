@@ -2,6 +2,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from oracles import mask_of_cells, naive_extremal
 from pgrid import (
     OutOfHypothesisError,
     ParameterError,
@@ -113,6 +114,19 @@ def test_construct_extremal_is_engine_verified_and_tight(case):
     assert len(witness.seeds) == witness.claimed_size == mkmin(m, n, k)
     assert not (witness.seeds & witness.instance.polluted)
     assert all(v.i == 1 or v.j == 1 for v in witness.seeds)
+
+
+def test_construct_extremal_matches_coordinate_reference():
+    cases = 0
+    for n in range(2, 11):
+        for m in range(n, 100 // n + 1):
+            for k in range(m * n + 1):
+                witness = construct_extremal(m, n, k)
+                polluted, seeds = naive_extremal(m, n, k)
+                assert witness.instance.polluted.mask == mask_of_cells(m, n, polluted), (m, n, k)
+                assert witness.seeds.mask == mask_of_cells(m, n, seeds), (m, n, k)
+                cases += 1
+    assert cases == 8728
 
 
 def test_construct_extremal_examples():

@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
+import pgrid.verify as verify_module
 from pgrid import (
     CSV_COLUMNS,
     CheckRow,
@@ -40,6 +42,15 @@ def test_theorem1_suite_validates_limits():
         verify_theorem1(3, 400)
     with pytest.raises(ParameterError):
         verify_theorem1(12, 3)
+
+
+def test_theorem1_suite_rejects_exhaustive_boards_beyond_oracle_reach():
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="out of oracle reach"):
+        verify_theorem1(26, 4)
+    with pytest.raises(ParameterError, match="out of oracle reach"):
+        verify_theorem1(30, 400)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_monotonicity_suite_rows():
@@ -81,6 +92,32 @@ def test_perimeter_suite_structure_and_reproducibility():
     traces = [r for r in first.rows if r.suite == "perimeter.trace"]
     assert all(r.expected == "non-increasing" for r in traces)
     assert all("|seeds|=" in r.note for r in traces)
+
+
+def _identity_row(report):
+    (row,) = [r for r in report.rows if r.suite == "perimeter.identity"]
+    return row
+
+
+def test_perimeter_identity_row_counts_every_t_where_min_perimeter_is_wrong(monkeypatch):
+    real = verify_module.min_perimeter
+    bad = {1, 2, 2500, 10**6}  # 4 * 2500 = 100^2 ends the run where ceil(2 sqrt t) = 100
+    monkeypatch.setattr(verify_module, "min_perimeter", lambda t: real(t) + (t in bad))
+    row = _identity_row(verify_perimeter(1, 0))
+    assert (row.k, row.actual, row.passed) == (10**6, len(bad), False)
+    monkeypatch.setattr(
+        verify_module, "min_perimeter", lambda t: real(t) - 2 * (5000 <= t < 6000)
+    )
+    row = _identity_row(verify_perimeter(1, 0))
+    assert (row.actual, row.passed) == (1000, False)
+
+
+@pytest.mark.parametrize("above", [5000, 10**6 - 1])
+def test_perimeter_identity_row_fails_when_ceil_two_sqrt_is_wrong(monkeypatch, above):
+    real = verify_module.ceil_two_sqrt
+    monkeypatch.setattr(verify_module, "ceil_two_sqrt", lambda t: real(t) + (t > above))
+    row = _identity_row(verify_perimeter(1, 0))
+    assert row.actual >= 1 and not row.passed
 
 
 def test_perimeter_suite_validates_limits():
