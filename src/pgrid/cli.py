@@ -127,6 +127,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
             "size": result.size,
             "witness": _vertex_list(result.witness),
             "nodes_explored": result.nodes_explored,
+            "start_bound": result.start_bound,
+            "forced": result.forced,
+            "level_nodes": list(result.level_nodes),
+            "suffix_prunes": result.suffix_prunes,
+            "perimeter_prunes": result.perimeter_prunes,
         }
         print(json.dumps(payload, sort_keys=True))
     else:

@@ -3,11 +3,32 @@
 Minimum percolating sets come from iterative deepening on the seed count,
 starting at the perimeter lower bound, with vertices of residual degree
 below r forced into every candidate (nothing can ever infect them).
-Candidates are enumerated in lexicographic order over the canonical cell
-index, so the reported witness is the lexicographically least minimum-size
-set and results are identical run to run.  All oracles share one node
-budget, counted in closure evaluations; exceeding it raises an error
-carrying the bounds proven so far, never a silent approximation.
+
+Each seed size s is one depth-first search over the free cells, choosing
+them in ascending canonical index: the leaves are met in the order
+``itertools.combinations`` yields them, and each leaf costs one closure.
+Two prunes cut only subtrees that hold no percolating set of size s, so the
+first percolating leaf, the reported witness, is the lexicographically
+least minimum-size set, and results are identical run to run.
+
+- Suffix prune (any r and topology).  The closure is monotone in the seed
+  set, and every seed set below child j of a node lies inside the node's
+  seeds plus all free cells from j on.  If that union does not percolate,
+  neither does any set below child j or any later child, so the node stops.
+  The test is skipped at the node's first child, where it repeats the test
+  that admitted the node, and where the children are leaves, where it costs
+  as much as the leaf it would save.
+- Perimeter-gap prune (r = 2 on grids).  A cell that joins the infected
+  set has at least two infected neighbors, so no round of closure raises
+  the perimeter, while one more seed raises it by at most 4.  A node whose
+  seeds' closure has perimeter p, with k seeds still to choose, can reach
+  at most perimeter p + 4k, so it is cut when that is below the residual's.
+
+The search keeps its path on an explicit stack, so deep levels (a 1 x 2000
+path needs 1,001 seeds) never meet the recursion limit.  All oracles share
+one node budget, counted in closure evaluations, prune tests included;
+exceeding it raises an error carrying the bounds proven so far, never a
+silent approximation.
 
 The pollution sweeps behind ``mkmin_exact`` and ``mkmax_exact`` search one
 pollution per orbit of the grid's reflections and rotations, since those
@@ -31,15 +52,25 @@ DEFAULT_NODE_BUDGET = 10**8
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Exact minimum with a canonical witness.
+    """Exact minimum with a canonical witness and the work that found it.
 
     ``witness`` percolates its instance, no smaller set does, and among the
     minimum-size sets it is lexicographically least in canonical cell order.
+    ``nodes_explored`` counts every closure run.  The search tried the seed
+    sizes ``start_bound`` to ``size``, and ``level_nodes[i]`` is the number
+    of closures run at size ``start_bound + i``.  ``forced`` counts the seeds
+    every percolating set contains, and the two prune counts say how often
+    each prune cut the search.
     """
 
     size: int
     witness: CellSet
     nodes_explored: int
+    start_bound: int = 0
+    forced: int = 0
+    level_nodes: tuple[int, ...] = ()
+    suffix_prunes: int = 0
+    perimeter_prunes: int = 0
 
 
 class _OutOfBudget(Exception):
@@ -47,7 +78,16 @@ class _OutOfBudget(Exception):
 
 
 class _Budget:
-    __slots__ = ("limit", "used", "level")
+    """The closure budget shared by every search of one call, and their work counts.
+
+    ``start_bound``, ``forced`` and ``level_nodes`` describe the latest
+    search; the prune counts add up over all of them.
+    """
+
+    __slots__ = (
+        "limit", "used", "level", "start_bound", "forced", "level_nodes",
+        "suffix_prunes", "perimeter_prunes",
+    )
 
     def __init__(self, limit: int):
         if limit < 1:
@@ -55,6 +95,11 @@ class _Budget:
         self.limit = limit
         self.used = 0
         self.level = 0
+        self.start_bound = 0
+        self.forced = 0
+        self.level_nodes: list[int] = []
+        self.suffix_prunes = 0
+        self.perimeter_prunes = 0
 
     def tick(self) -> None:
         self.used += 1
@@ -77,21 +122,96 @@ def _min_search(
         return 0, 0
     forced = residual & ~shifts.at_least(residual, r)
     hi = t if cap is None else min(cap, t)
-    lo = max(s0, forced.bit_count(), 1)
+    n_forced = forced.bit_count()
+    lo = max(s0, n_forced, 1)
+    bud.start_bound = lo
+    bud.forced = n_forced
+    bud.level_nodes = []
     if lo > hi:
         return None, None
-    free = list(_set_bits(residual ^ forced))
+    free = [1 << v for v in _set_bits(residual ^ forced)]
+    # suffix[j] holds the free cells from j on
+    suffix = [0] * (len(free) + 1)
+    for j in range(len(free) - 1, -1, -1):
+        suffix[j] = suffix[j + 1] | free[j]
+    target = shifts.perimeter(residual) if r == 2 and not shifts.wrap else None
     for s in range(lo, hi + 1):
         bud.level = s
-        need = s - forced.bit_count()
-        for combo in combinations(free, need):
-            seed_mask = forced
-            for v in combo:
-                seed_mask |= 1 << v
-            bud.tick()
-            if closure_mask(shifts, blocked, seed_mask, r) == residual:
-                return s, seed_mask
+        used = bud.used
+        seed_mask = _level_search(
+            shifts, blocked, residual, r, forced, free, suffix, s - n_forced, target, bud
+        )
+        bud.level_nodes.append(bud.used - used)
+        if seed_mask is not None:
+            return s, seed_mask
     return None, None
+
+
+def _level_search(
+    shifts: Shifts,
+    blocked: int,
+    residual: int,
+    r: int,
+    forced: int,
+    free: list[int],
+    suffix: list[int],
+    need: int,
+    target: int | None,
+    bud: _Budget,
+) -> int | None:
+    """First percolating ``forced`` plus ``need`` cells of ``free``, in combinations order.
+
+    A node is a partial seed with ``k`` cells left to choose; its child ``j``
+    adds ``free[j]``, for ascending j above the last cell the node holds.
+    ``target`` is the residual's perimeter where the perimeter-gap prune
+    applies, else None.
+    """
+    closure = closure_mask
+    last = len(free)
+
+    def gap_cut(seed: int, k: int) -> bool:
+        bud.tick()
+        if shifts.perimeter(closure(shifts, blocked, seed, r)) + 4 * k < target:
+            bud.perimeter_prunes += 1
+            return True
+        return False
+
+    if need == 0:
+        bud.tick()
+        return forced if closure(shifts, blocked, forced, r) == residual else None
+    if target is not None and gap_cut(forced, need):
+        return None
+    # the node at depth d is seeds[d] and nexts[d] is its next child; its
+    # first child is 0 at the root and else its parent's next, nexts[d - 1]
+    seeds = [forced]
+    nexts = [0]
+    while nexts:
+        d = len(nexts) - 1
+        k = need - d
+        j = nexts[d]
+        if j > last - k:
+            seeds.pop()
+            nexts.pop()
+            continue
+        nexts[d] = j + 1
+        seed = seeds[d]
+        if k == 1:
+            bud.tick()
+            if closure(shifts, blocked, seed | free[j], r) == residual:
+                return seed | free[j]
+            continue
+        if j > (nexts[d - 1] if d else 0):
+            bud.tick()
+            if closure(shifts, blocked, seed | suffix[j], r) != residual:
+                bud.suffix_prunes += 1
+                nexts[d] = last  # no child left: the next pass pops the node
+                continue
+        child = seed | free[j]
+        if target is not None and gap_cut(child, k - 1):
+            continue
+        seeds.append(child)
+        nexts.append(j + 1)
+    return None
 
 
 def min_percolating_exact(
@@ -117,7 +237,16 @@ def min_percolating_exact(
             upper_bound=residual.bit_count(),
         ) from None
     assert size is not None and witness_mask is not None
-    return SearchResult(size, CellSet(spec, witness_mask), bud.used)
+    return SearchResult(
+        size,
+        CellSet(spec, witness_mask),
+        bud.used,
+        bud.start_bound,
+        bud.forced,
+        tuple(bud.level_nodes),
+        bud.suffix_prunes,
+        bud.perimeter_prunes,
+    )
 
 
 def _sweep_setup(m: int, n: int, k: int, r: int):

@@ -40,6 +40,7 @@ from .search import min_percolating_exact, min_polyomino_perimeter_exact, mkmin_
 CSV_COLUMNS = ("suite", "m", "n", "k", "expected", "actual", "pass", "elapsed_ms")
 
 _IDENTITY_LIMIT = 10**6
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 _TRACE_M, _TRACE_N = 8, 5
 _TRACE_MAX_POLLUTION = 13
 
@@ -99,6 +100,12 @@ class SuiteReport:
         return buf.getvalue()
 
     def to_json(self) -> str:
+        """The report as ``json.dumps(doc, sort_keys=True, indent=2)`` would write it.
+
+        ``indent`` forces the pure-Python encoder, so only the short head goes
+        through it; each row, whose values are all scalars, is one C-encoded
+        line that ``_ROW_ENCODER``'s separators lay out at the rows' indent.
+        """
         doc = {
             "suite": self.name,
             "limits": self.limits,
@@ -106,7 +113,15 @@ class SuiteReport:
             "passed": self.passed,
             "checks": len(self.rows),
             "failed": len(self.failures),
-            "rows": [
+            "rows": [],
+        }
+        head = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        if not self.rows:
+            return head
+        encode = _ROW_ENCODER.encode
+        rows = ",\n    ".join(
+            "{\n      "
+            + encode(
                 {
                     "suite": row.suite,
                     "m": row.m,
@@ -118,10 +133,12 @@ class SuiteReport:
                     "elapsed_ms": round(row.elapsed_ms, 3),
                     "note": row.note,
                 }
-                for row in self.rows
-            ],
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            )[1:-1]
+            + "\n    }"
+            for row in self.rows
+        )
+        # sorted keys and a two-space indent leave exactly one top-level rows line
+        return head.replace('\n  "rows": [],', '\n  "rows": [\n    ' + rows + "\n  ],", 1)
 
 
 def _ms(t0: float) -> float:

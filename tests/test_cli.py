@@ -115,9 +115,14 @@ def test_search_json(board, capsys):
     assert cli.run(["search", str(board), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {
-        "nodes_explored": 138,
+        "nodes_explored": 19,
         "size": 4,
         "witness": [[1, 4], [3, 4], [4, 3], [1, 1]],
+        "start_bound": 4,
+        "forced": 0,
+        "level_nodes": [19],
+        "suffix_prunes": 0,
+        "perimeter_prunes": 5,
     }
 
 

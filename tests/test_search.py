@@ -19,6 +19,8 @@ from pgrid import (
     mkmin_exact,
     torus,
 )
+from pgrid import search
+from pgrid.engine import closure_mask
 from pgrid.search import _fixed_polyominoes, _Orbits
 
 from oracles import (
@@ -43,6 +45,11 @@ SMALL_BOARDS = [
     ("grid", 4, 1),
     ("torus", 3, 3),
     ("torus", 4, 3),
+    # the boards above are too small for the suffix prune to fire, while on
+    # these both prunes cut some search; the naive oracle limits them to r <= 3
+    ("grid", 4, 4),
+    ("grid", 5, 3),
+    ("torus", 4, 4),
 ]
 
 
@@ -52,7 +59,7 @@ def tiny_instances(draw):
     spec = grid(m, n) if topology == "grid" else torus(m, n)
     cells = [(v.i, v.j) for v in spec.vertices()]
     polluted = draw(st.sets(st.sampled_from(cells), max_size=3))
-    r = draw(st.integers(1, 5))
+    r = draw(st.integers(1, 5 if m * n <= 12 else 3))
     return spec, frozenset(polluted), r
 
 
@@ -97,23 +104,63 @@ def test_min_percolating_is_deterministic():
     assert first == second
     assert first.size == 4
     assert _cells(first.witness) == {(1, 4), (3, 4), (4, 3), (1, 1)}
-    assert first.nodes_explored == 138
+    assert first.nodes_explored == 19
 
 
 @pytest.mark.parametrize(
     "spec,r,size,nodes,witness_mask",
     [
-        (grid(5, 5), 2, 5, 2076, 0x100415),
-        (grid(6, 5), 2, 6, 3360, 0x100102B),
-        (torus(5, 5), 2, 4, 2980, 0x8105),
-        (torus(4, 4), 3, 6, 8345, 0x8525),
+        (grid(5, 5), 2, 5, 29, 0x100415),
+        (grid(6, 5), 2, 6, 34, 0x100102B),
+        (torus(5, 5), 2, 4, 2259, 0x8105),
+        (torus(4, 4), 3, 6, 3030, 0x8525),
         (grid(3, 3), 4, 8, 1, 0x1EF),
         (grid(2, 2), 5, 4, 1, 0xF),
+        # trying every 7-set in order takes 93,689 closures
+        (grid(7, 6), 2, 7, 53, 0x80020202B),
     ],
 )
 def test_min_percolating_search_order_is_frozen(spec, r, size, nodes, witness_mask):
-    result = min_percolating_exact(PollutedInstance.of(spec), r)
+    result = min_percolating_exact(PollutedInstance.of(spec), r, budget=10_000)
     assert (result.size, result.nodes_explored, result.witness.mask) == (size, nodes, witness_mask)
+    assert sum(result.level_nodes) == nodes
+    assert result.start_bound + len(result.level_nodes) - 1 == size
+
+
+@pytest.mark.parametrize("spec,r", [(grid(5, 5), 2), (torus(5, 5), 2), (torus(4, 4), 3)])
+def test_nodes_explored_counts_every_closure(spec, r, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return closure_mask(*args)
+
+    monkeypatch.setattr(search, "closure_mask", counted)
+    result = min_percolating_exact(PollutedInstance.of(spec), r)
+    assert result.nodes_explored == len(calls)
+    assert result.suffix_prunes + result.perimeter_prunes > 0
+
+
+@pytest.mark.parametrize("spec,r", [(grid(5, 5), 2), (grid(4, 4), 3), (torus(4, 3), 2)])
+def test_budget_stops_one_closure_past_the_limit(spec, r):
+    instance = PollutedInstance.of(spec)
+    nodes = min_percolating_exact(instance, r).nodes_explored
+    for b in range(1, nodes):
+        with pytest.raises(BudgetExceededError) as exc:
+            min_percolating_exact(instance, r, budget=b)
+        assert exc.value.nodes == b + 1
+    assert min_percolating_exact(instance, r, budget=nodes).nodes_explored == nodes
+
+
+def test_deep_level_needs_no_recursion():
+    # a 1 x 2000 path needs 1,001 seeds: the start bound is already 1,001
+    instance = PollutedInstance.of(grid(1, 2000))
+    result = min_percolating_exact(instance)
+    assert result.size == result.start_bound == 1001
+    for b in (1, 500, 1000):
+        with pytest.raises(BudgetExceededError) as exc:
+            min_percolating_exact(instance, budget=b)
+        assert exc.value.nodes == b + 1
 
 
 def test_min_percolating_rejects_bad_threshold_and_budget():

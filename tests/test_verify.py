@@ -183,6 +183,45 @@ def test_json_document_shape():
     assert all("note" in row for row in doc["rows"])
 
 
+def _indented_json(report):
+    doc = {
+        "suite": report.name,
+        "limits": report.limits,
+        "seed": report.seed,
+        "passed": report.passed,
+        "checks": len(report.rows),
+        "failed": len(report.failures),
+        "rows": [
+            {
+                "suite": row.suite,
+                "m": row.m,
+                "n": row.n,
+                "k": row.k,
+                "expected": row.expected,
+                "actual": row.actual,
+                "pass": row.passed,
+                "elapsed_ms": round(row.elapsed_ms, 3),
+                "note": row.note,
+            }
+            for row in report.rows
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_matches_the_indented_encoder_byte_for_byte():
+    odd = [
+        CheckRow("odd", None, 2, 0, "non-increasing", None, False, 1.23456, note='a "quoted", \n é'),
+        CheckRow("odd", 1, 1, 1, 2, 2.5, True, 0.0),
+    ]
+    for report in (
+        verify_theorem1(12, 60),
+        SuiteReport("empty", {}, None, []),
+        SuiteReport("odd", {"rows": 1}, 7, odd),
+    ):
+        assert report.to_json() == _indented_json(report)
+
+
 def test_report_failure_accounting():
     rows = [
         CheckRow("demo", 2, 2, 0, 1, 1, True, 0.5),
