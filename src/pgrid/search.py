@@ -34,18 +34,23 @@ The pollution sweeps behind ``mkmin_exact`` and ``mkmax_exact`` search one
 pollution per orbit of the grid's reflections and rotations, since those
 maps preserve the percolation number.  Their values are those of the full
 sweep; their budgets count only the closures of the pollutions searched.
+
+Polyominoes come from Redelmeier's walk on one bitmask: each is rooted at
+its first cell, mid-way along the top row of a (2t - 1) x t board that holds
+every cell within t - 1 steps, and a stack frame holds a polyomino, the cells
+it may grow by and the cells offered on its path, none offered twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
+from typing import Iterator
 
 from .engine import closure_mask
 from .errors import BudgetExceededError, ParameterError
 from .grid import CellSet, PollutedInstance, Shifts, Topology, _set_bits, _symmetries, grid
-from .perimeter import min_perimeter, shape_perimeter
+from .perimeter import min_perimeter
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -118,8 +123,6 @@ def _min_search(
 ) -> tuple[int | None, int | None]:
     """Smallest percolating seed set for one instance, or None if above cap."""
     t = residual.bit_count()
-    if t == 0:
-        return 0, 0
     forced = residual & ~shifts.at_least(residual, r)
     hi = t if cap is None else min(cap, t)
     n_forced = forced.bit_count()
@@ -377,27 +380,26 @@ def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     return best
 
 
-@lru_cache(maxsize=None)
-def _fixed_polyominoes(t: int) -> frozenset[frozenset[tuple[int, int]]]:
-    """All polyominoes of t cells up to translation, grown cell by cell."""
-    if t == 1:
-        return frozenset({frozenset({(0, 0)})})
-    out = set()
-    for shape in _fixed_polyominoes(t - 1):
-        for x, y in shape:
-            for cand in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                if cand in shape:
-                    continue
-                grown = set(shape)
-                grown.add(cand)
-                min_x = min(a for a, _ in grown)
-                min_y = min(b for _, b in grown)
-                out.add(frozenset((a - min_x, b - min_y) for a, b in grown))
-    return frozenset(out)
+def _fixed_polyominoes(t: int) -> Iterator[int]:
+    """Every fixed polyomino of at most t cells, once, as a mask on a (2t - 1) x t board."""
+    w = 2 * t - 1
+    root = 1 << (t - 1)
+    stack = [(0, root, root)]
+    while stack:
+        cells, untried, reached = stack.pop()
+        while untried:
+            cell = untried & -untried
+            untried ^= cell
+            grown = cells | cell
+            yield grown
+            if grown.bit_count() < t:
+                new = (cell << 1 | cell >> 1 | cell << w | cell >> w) & -root & ~reached
+                stack.append((grown, untried | new, reached | new))
 
 
 def min_polyomino_perimeter_exact(t: int) -> int:
     """Minimum perimeter over all connected polyominoes of t cells, by enumeration."""
     if not 1 <= t <= 10:
         raise ParameterError(f"enumeration supports 1 <= t <= 10, got {t}")
-    return min(shape_perimeter(shape) for shape in _fixed_polyominoes(t))
+    perimeter = Shifts.of(grid(2 * t - 1, t)).perimeter
+    return min(perimeter(p) for p in _fixed_polyominoes(t) if p.bit_count() == t)

@@ -33,8 +33,8 @@ from .formulas import (
     percolation_number_grid,
     percolation_number_torus,
 )
-from .grid import CellSet, GridSpec, PollutedInstance, Shifts, grid, neighbors, torus
-from .perimeter import min_perimeter, perimeter_lower_bound
+from .grid import CellSet, PollutedInstance, Shifts, grid, torus
+from .perimeter import min_perimeter
 from .search import min_percolating_exact, min_polyomino_perimeter_exact, mkmin_exact
 
 CSV_COLUMNS = ("suite", "m", "n", "k", "expected", "actual", "pass", "elapsed_ms")
@@ -190,6 +190,7 @@ def verify_theorem1(max_mn_exhaustive: int, max_mn_construction: int) -> SuiteRe
                 CheckRow("theorem1.oracle-certified", m, n, k, expected, actual, ok, _ms(t0))
             )
     for m, n in _grid_shapes(max_mn_construction):
+        shifts = Shifts.of(grid(m, n))
         for k in range(m * n + 1):
             t0 = time.perf_counter()
             expected = mkmin(m, n, k)
@@ -199,7 +200,7 @@ def verify_theorem1(max_mn_exhaustive: int, max_mn_construction: int) -> SuiteRe
                 witness = construct_extremal(m, n, k)
                 actual = len(witness.seeds)
                 ok = actual == expected
-                bound = perimeter_lower_bound(witness.instance)
+                bound = shifts.perimeter_floor(witness.instance.residual.mask)
                 if bound > expected:
                     ok = False
                     note = f"perimeter bound {bound} exceeds the formula value"
@@ -217,10 +218,6 @@ def verify_theorem1(max_mn_exhaustive: int, max_mn_construction: int) -> SuiteRe
         "max_mn_construction": max_mn_construction,
     }
     return SuiteReport("theorem1", limits, None, _sorted_rows(rows))
-
-
-def _independent(spec: GridSpec, vs) -> bool:
-    return all(b not in neighbors(spec, a) for a, b in combinations(vs, 2))
 
 
 def verify_monotonicity(max_mn: int) -> SuiteReport:
@@ -243,18 +240,17 @@ def verify_monotonicity(max_mn: int) -> SuiteReport:
     ]
     for m, n in _grid_shapes(max_mn):
         spec = grid(m, n)
+        shifts = Shifts.of(spec)
         base = min_percolating_exact(PollutedInstance(spec, CellSet(spec))).size
-        verts = list(spec.vertices())
         for size in (1, 2, 3):
-            if size > len(verts):
-                continue
             suite = "monotonicity.single" if size == 1 else "monotonicity.independent"
-            for combo in combinations(verts, size):
-                if size > 1 and not _independent(spec, combo):
+            for combo in combinations(range(spec.size), size):
+                mask = sum(1 << p for p in combo)
+                if mask & shifts.at_least(mask, 1):
                     continue
                 t0 = time.perf_counter()
-                val = min_percolating_exact(PollutedInstance.of(spec, combo)).size
-                note = "removed " + " ".join(f"({v.i},{v.j})" for v in combo)
+                val = min_percolating_exact(PollutedInstance(spec, CellSet(spec, mask))).size
+                note = "removed " + " ".join(f"({v.i},{v.j})" for v in map(spec.vertex_at, combo))
                 rows.append(
                     CheckRow(suite, m, n, size, base, val, val >= base, _ms(t0), note)
                 )

@@ -161,3 +161,21 @@ def naive_perimeter(cells) -> int:
             if u not in shape:
                 exposed += 1
     return exposed
+
+
+def naive_fixed_polyominoes(t: int) -> set[frozenset[tuple[int, int]]]:
+    """Every polyomino of t cells up to translation, grown one cell at a time
+    and translated so that its least x and least y are 0."""
+    shapes = {frozenset({(0, 0)})}
+    for _ in range(t - 1):
+        grown = set()
+        for shape in shapes:
+            for x, y in shape:
+                for cand in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                    if cand not in shape:
+                        cells = shape | {cand}
+                        min_x = min(a for a, _ in cells)
+                        min_y = min(b for _, b in cells)
+                        grown.add(frozenset((a - min_x, b - min_y) for a, b in cells))
+        shapes = grown
+    return shapes

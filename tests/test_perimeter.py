@@ -1,3 +1,5 @@
+from math import isqrt
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
@@ -19,6 +21,7 @@ from pgrid import (
     torus,
 )
 from pgrid.grid import Shifts
+from pgrid.search import _fixed_polyominoes
 
 cells_strategy = st.sets(
     st.tuples(st.integers(-5, 5), st.integers(-5, 5)), max_size=20
@@ -70,6 +73,23 @@ def test_min_perimeter_height_bounded_examples():
         min_perimeter_height_bounded(8, 3)
     with pytest.raises(ParameterError):
         min_perimeter_height_bounded(5, 0)
+
+
+def test_height_bounded_formula_matches_the_enumeration():
+    # the walk roots each polyomino in the top row of a (2t - 1)-wide board,
+    # so the row of its last cell gives the number of rows it spans
+    t = 10
+    w = 2 * t - 1
+    perimeter = Shifts.of(grid(w, t)).perimeter
+    best: dict[tuple[int, int], int] = {}
+    for p in _fixed_polyominoes(t):
+        key = (p.bit_count(), (p.bit_length() - 1) // w + 1)
+        q = perimeter(p)
+        best[key] = min(best.get(key, q), q)
+    for cells in range(1, t + 1):
+        for x in range(1, isqrt(cells) + 1):
+            least = min(v for (c, rows), v in best.items() if c == cells and rows <= x)
+            assert least == min_perimeter_height_bounded(cells, x), (cells, x)
 
 
 @given(x=st.integers(1, 40), extra=st.integers(0, 400))

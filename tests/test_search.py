@@ -1,4 +1,9 @@
+from collections import Counter
 from itertools import combinations
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +30,7 @@ from pgrid.search import _fixed_polyominoes, _Orbits
 
 from oracles import (
     canonical_cells,
+    naive_fixed_polyominoes,
     naive_min_percolating,
     naive_pollution_numbers,
     naive_symmetries,
@@ -268,9 +274,41 @@ def test_mkmin_exact_budget_error_carries_bounds():
 
 
 def test_fixed_polyomino_counts():
-    expected = {1: 1, 2: 2, 3: 6, 4: 19, 5: 63, 6: 216, 7: 760, 8: 2725}
-    for t, count in expected.items():
-        assert len(_fixed_polyominoes(t)) == count
+    # OEIS A001168, the fixed polyominoes of t cells
+    expected = {1: 1, 2: 2, 3: 6, 4: 19, 5: 63, 6: 216, 7: 760, 8: 2725, 9: 9910, 10: 36446}
+    assert Counter(p.bit_count() for p in _fixed_polyominoes(10)) == expected
+
+
+def test_fixed_polyominoes_match_naive_growth():
+    t = 7
+    w = 2 * t - 1
+    shapes = []
+    for p in _fixed_polyominoes(t):
+        cells = [(q % w, q // w) for q in range(p.bit_length()) if p >> q & 1]
+        min_x = min(x for x, _ in cells)
+        min_y = min(y for _, y in cells)
+        shapes.append(frozenset((x - min_x, y - min_y) for x, y in cells))
+    assert len(set(shapes)) == len(shapes)
+    for size in range(1, t + 1):
+        assert {s for s in shapes if len(s) == size} == naive_fixed_polyominoes(size)
+
+
+def test_polyomino_enumeration_keeps_no_cache():
+    code = (
+        "import tracemalloc\n"
+        "from pgrid.search import min_polyomino_perimeter_exact\n"
+        "tracemalloc.start()\n"
+        "assert min_polyomino_perimeter_exact(9) == 12\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2**20
 
 
 def test_min_polyomino_perimeter_table():
