@@ -51,14 +51,32 @@ class BudgetExceededError(PgridError):
     """An exhaustive search ran out of its closure-evaluation budget.
 
     ``lower_bound`` and ``upper_bound`` bracket the answer that was being
-    computed at the moment the budget ran out.
+    computed at the moment the budget ran out.  A single-instance search also
+    reports its work as ``SearchResult`` does, with the level it stopped in
+    last in ``level_nodes``; the pollution sweeps leave these at 0 and ().
     """
 
-    def __init__(self, message: str, nodes: int, lower_bound: int, upper_bound: int):
+    def __init__(
+        self,
+        message: str,
+        nodes: int,
+        lower_bound: int,
+        upper_bound: int,
+        start_bound: int = 0,
+        forced: int = 0,
+        level_nodes: tuple[int, ...] = (),
+        suffix_prunes: int = 0,
+        perimeter_prunes: int = 0,
+    ):
         super().__init__(message)
         self.nodes = nodes
         self.lower_bound = lower_bound
         self.upper_bound = upper_bound
+        self.start_bound = start_bound
+        self.forced = forced
+        self.level_nodes = level_nodes
+        self.suffix_prunes = suffix_prunes
+        self.perimeter_prunes = perimeter_prunes
 
 
 class InternalConsistencyError(PgridError):

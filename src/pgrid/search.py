@@ -34,6 +34,12 @@ The pollution sweeps behind ``mkmin_exact`` and ``mkmax_exact`` search one
 pollution per orbit of the grid's reflections and rotations, since those
 maps preserve the percolation number.  Their values are those of the full
 sweep; their budgets count only the closures of the pollutions searched.
+For r = 2, ``mkmin_exact`` skips every pollution whose residual perimeter
+rules out beating its best so far, and does not list them either: a
+depth-first walk over the cells, in index order, cuts each branch whose
+perimeter, counted so far plus a bound on what the undecided cells must
+add, exceeds that limit.  Nothing else changes, so the searched pollutions,
+the values and the budget counts are those of the plain listing.
 
 Polyominoes come from Redelmeier's walk on one bitmask: each is rooted at
 its first cell, mid-way along the top row of a (2t - 1) x t board that holds
@@ -86,7 +92,8 @@ class _Budget:
     """The closure budget shared by every search of one call, and their work counts.
 
     ``start_bound``, ``forced`` and ``level_nodes`` describe the latest
-    search; the prune counts add up over all of them.
+    search, the level it ran out of budget in included; the prune counts add
+    up over all of them.
     """
 
     __slots__ = (
@@ -141,10 +148,12 @@ def _min_search(
     for s in range(lo, hi + 1):
         bud.level = s
         used = bud.used
-        seed_mask = _level_search(
-            shifts, blocked, residual, r, forced, free, suffix, s - n_forced, target, bud
-        )
-        bud.level_nodes.append(bud.used - used)
+        try:
+            seed_mask = _level_search(
+                shifts, blocked, residual, r, forced, free, suffix, s - n_forced, target, bud
+            )
+        finally:
+            bud.level_nodes.append(bud.used - used)
         if seed_mask is not None:
             return s, seed_mask
     return None, None
@@ -238,6 +247,11 @@ def min_percolating_exact(
             nodes=bud.used,
             lower_bound=bud.level,
             upper_bound=residual.bit_count(),
+            start_bound=bud.start_bound,
+            forced=bud.forced,
+            level_nodes=tuple(bud.level_nodes),
+            suffix_prunes=bud.suffix_prunes,
+            perimeter_prunes=bud.perimeter_prunes,
         ) from None
     assert size is not None and witness_mask is not None
     return SearchResult(
@@ -266,7 +280,9 @@ def _pollutions(shifts: Shifts, k: int, r: int):
 
     The start bound is the residual's perimeter floor for r = 2, and else the
     number of healthy cells with fewer than r healthy neighbors, which every
-    percolating set must contain.
+    percolating set must contain.  ``mkmax_exact`` searches them all, and so
+    does ``mkmin_exact`` for r != 2; its r = 2 sweep lists only those that can
+    beat its best, through :func:`_low_perimeter_pollutions`.
     """
     for combo in combinations(range(shifts.size), k):
         amask = 0
@@ -278,6 +294,66 @@ def _pollutions(shifts: Shifts, k: int, r: int):
         else:
             s0 = (residual & ~shifts.at_least(residual, r)).bit_count()
         yield combo, amask, residual, s0
+
+
+def _low_perimeter_pollutions(shifts: Shifts, k: int, limit: list[int]):
+    """The k-cell pollutions of a grid whose residual perimeter is at most ``limit[0]``.
+
+    Yields what :func:`_pollutions` yields for r = 2, in the same order, less
+    each pollution whose residual perimeter exceeds ``limit[0]`` when the walk
+    reaches it.  The limit is read at every step, so the caller may lower it
+    during the walk.
+
+    The walk decides the cells in index order, polluted before healthy.  A
+    decided cell settles its edges to its left and upper neighbours and its
+    own border sides, so the perimeter counted so far never falls.  The h
+    healthy cells still to place span some R rows and C columns, with
+    R * C >= h and C at least the undecided bottom-row cells beyond the
+    pollution still to place, which must be healthy.  Each such row shows a
+    right side at its rightmost cell and each such column a bottom side at its
+    lowest.  The leftmost cell of each row and the highest of each column show
+    one more side, unless it meets a decided healthy cell: the one left of the
+    next cell, or one of those just above the undecided part.  So at least
+    max(R + C, 2(R + C) - covered) sides are still to come, and a branch whose
+    count plus that bound exceeds the limit holds no pollution to yield.  Once
+    all k cells are placed, or every undecided cell must be polluted, the
+    pollution is settled and its perimeter is taken whole.
+    """
+    m, size, full = shifts.m, shifts.size, shifts.full
+    bottom = size - m
+    # a frame: next cell p, healthy cells so far, cells left to pollute, perimeter counted so far
+    stack = [(0, 0, k, 0)]
+    while stack:
+        p, healthy, left, counted = stack.pop()
+        if left == 0 or left == size - p:
+            residual = healthy if left else healthy | full >> p << p
+            perimeter = shifts.perimeter(residual)
+            if perimeter <= limit[0]:
+                amask = full ^ residual
+                # through a list: a tuple grown from an iterator is resized, which
+                # strands its block on another size's free list, and a long sweep
+                # fills those lists with thousands of tuples (peak RSS +2 MiB)
+                yield tuple(list(_set_bits(amask))), amask, residual, (perimeter + 3) // 4
+            continue
+        col = p % m
+        west = col > 0 and healthy >> (p - 1) & 1
+        north = p >= m and healthy >> (p - m) & 1
+        # the fewest rows R plus columns C that the h healthy cells still to
+        # place can span, with at least d of them in the bottom row
+        h = size - p - left
+        d = min(m, size - p) - left
+        rows = (size - p + m - 1) // m
+        span = min(r + max(-(-h // r), d) for r in range(-(-h // m), rows + 1))
+        # the decided cells just above the undecided part: the m before p, but
+        # in the last row only those above the columns from p's on
+        lo = max(p - m, 0)
+        hi = p if p < bottom else p - col
+        covered = (healthy >> lo & ((1 << (hi - lo)) - 1)).bit_count() + west
+        if counted + max(span, 2 * span - covered) > limit[0]:
+            continue
+        exposed = (not west) + (not north) + (col == m - 1) + (p >= bottom)
+        stack.append((p + 1, healthy | 1 << p, left, counted + exposed))
+        stack.append((p + 1, healthy, left - 1, counted + west + north))
 
 
 class _Orbits:
@@ -313,8 +389,11 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     """Exact best case over pollution: min over all |A| = k of m(G - A, r).
 
     One pollution is searched per orbit of the grid's symmetries, and none
-    whose start bound is no better than the best so far.  The value is that
-    of the full sweep; ``budget`` counts the closures of the searches made.
+    whose start bound is no better than the best so far.  For r = 2 that bound
+    is ceil(perimeter / 4), so once the best is b only residuals of perimeter
+    at most 4(b - 1) can beat it, and only those are listed.  The value is
+    that of the full sweep; ``budget`` counts the closures of the searches
+    made.
     """
     spec, shifts = _sweep_setup(m, n, k, r)
     t = spec.size - k
@@ -324,14 +403,21 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     bud = _Budget(budget)
     orbits = _Orbits(m, n)
     best: int | None = None
+    limit = [4 * spec.size]
+    if r == 2:
+        pollutions = _low_perimeter_pollutions(shifts, k, limit)
+    else:
+        pollutions = _pollutions(shifts, k, r)
     try:
-        for combo, amask, residual, s0 in _pollutions(shifts, k, r):
+        for combo, amask, residual, s0 in pollutions:
             if best is not None and (s0 >= best or not orbits.least(combo)):
                 continue
             cap = None if best is None else best - 1
             size, _ = _min_search(shifts, amask, residual, r, s0, cap, bud)
             if size is not None and (best is None or size < best):
                 best = size
+                # a residual of perimeter above 4(best - 1) needs best seeds or more
+                limit[0] = 4 * (best - 1)
                 if best <= floor:
                     break
     except _OutOfBudget:

@@ -172,8 +172,8 @@ def verify_theorem1(max_mn_exhaustive: int, max_mn_construction: int) -> SuiteRe
     engine-verified constructions plus both lower bounds on larger ones."""
     if max_mn_exhaustive < 4 or max_mn_construction < 4:
         raise ParameterError("limits must be >= 4 (the smallest grid is 2x2)")
-    if max_mn_exhaustive > 25:
-        raise ParameterError("exhaustive boards beyond mn = 25 are out of oracle reach")
+    if max_mn_exhaustive > 60:
+        raise ParameterError("exhaustive boards beyond mn = 60 are out of oracle reach")
     rows: list[CheckRow] = []
     for m, n in _grid_shapes(max_mn_exhaustive):
         for k in range(m * n + 1):

@@ -194,7 +194,7 @@ def test_verify_bad_limit_is_domain_error(capsys):
 
 def test_verify_theorem1_beyond_oracle_reach_exits_one_at_once(capsys):
     start = time.perf_counter()
-    assert cli.run(["verify", "theorem1", "--max-exhaustive", "30"]) == 1
+    assert cli.run(["verify", "theorem1", "--max-exhaustive", "61"]) == 1
     assert time.perf_counter() - start < 1.0
     assert "out of oracle reach" in capsys.readouterr().err
 

@@ -26,12 +26,14 @@ from pgrid import (
 )
 from pgrid import search
 from pgrid.engine import closure_mask
-from pgrid.search import _fixed_polyominoes, _Orbits
+from pgrid.grid import Shifts
+from pgrid.search import _fixed_polyominoes, _low_perimeter_pollutions, _Orbits
 
 from oracles import (
     canonical_cells,
     naive_fixed_polyominoes,
     naive_min_percolating,
+    naive_perimeter,
     naive_pollution_numbers,
     naive_symmetries,
 )
@@ -158,6 +160,32 @@ def test_budget_stops_one_closure_past_the_limit(spec, r):
     assert min_percolating_exact(instance, r, budget=nodes).nodes_explored == nodes
 
 
+def test_budget_error_carries_the_search_counts():
+    instance = PollutedInstance.of(grid(7, 6))
+    with pytest.raises(BudgetExceededError) as exc:
+        min_percolating_exact(instance, budget=20)
+    err = exc.value
+    assert str(err) == "budget of 20 closure evaluations exhausted at seed size 7"
+    assert (err.nodes, err.lower_bound, err.upper_bound) == (21, 7, 42)
+    assert (err.start_bound, err.forced, err.level_nodes) == (7, 0, (21,))
+    assert (err.suffix_prunes, err.perimeter_prunes) == (0, 8)
+
+
+@pytest.mark.parametrize("budget", [30, 300, 2000])
+def test_budget_error_counts_the_partial_last_level(budget):
+    instance = PollutedInstance.of(torus(5, 5))
+    done = min_percolating_exact(instance)
+    with pytest.raises(BudgetExceededError) as exc:
+        min_percolating_exact(instance, budget=budget)
+    err = exc.value
+    assert sum(err.level_nodes) == err.nodes == budget + 1
+    assert err.level_nodes[:-1] == done.level_nodes[: len(err.level_nodes) - 1]
+    assert 0 < err.level_nodes[-1] <= done.level_nodes[len(err.level_nodes) - 1]
+    assert err.start_bound == done.start_bound
+    assert err.lower_bound == done.start_bound + len(err.level_nodes) - 1
+    assert err.suffix_prunes <= done.suffix_prunes
+
+
 def test_deep_level_needs_no_recursion():
     # a 1 x 2000 path needs 1,001 seeds: the start bound is already 1,001
     instance = PollutedInstance.of(grid(1, 2000))
@@ -250,10 +278,54 @@ def test_one_pollution_per_orbit_is_searched(m, n, k):
     assert sum(map(least, combinations(range(m * n), k))) == len(orbits)
 
 
-@pytest.mark.parametrize("m,n", [(3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize(
+    "m,n",
+    [(3, 2), (3, 3), (4, 2)]
+    + [(m, n) for n in range(2, 6) for m in range(n, 16) if 17 <= m * n <= 30],
+)
 def test_mkmin_exact_agrees_with_closed_form(m, n):
     for k in range(m * n + 1):
         assert mkmin_exact(m, n, k) == mkmin(m, n, k)
+
+
+def test_low_perimeter_pollutions_match_naive_perimeter():
+    # every board of at most 12 cells, one-wide ones included, and every k
+    boards = [(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]
+    limits = (0, 4, 8, 10, 14, 18)
+    for m, n in boards:
+        cells = canonical_cells(m, n)
+        shifts = Shifts.of(grid(m, n))
+        for k in range(m * n + 1):
+            perimeters = {
+                combo: naive_perimeter(c for p, c in enumerate(cells) if p not in combo)
+                for combo in combinations(range(m * n), k)
+            }
+            for limit in limits + (4 * m * n,):
+                got = list(_low_perimeter_pollutions(shifts, k, [limit]))
+                assert [g[0] for g in got] == [c for c, per in perimeters.items() if per <= limit]
+                for combo, amask, residual, s0 in got:
+                    assert amask == sum(1 << p for p in combo)
+                    assert residual == (1 << m * n) - 1 - amask
+                    assert s0 == (perimeters[combo] + 3) // 4
+
+
+@pytest.mark.parametrize(
+    "m,n,k,after,lowered", [(4, 3, 4, 5, 12), (3, 4, 6, 40, 10), (12, 1, 5, 30, 18)]
+)
+def test_low_perimeter_pollutions_follow_a_lowered_limit(m, n, k, after, lowered):
+    cells = canonical_cells(m, n)
+    combos = list(combinations(range(m * n), k))
+    perimeter = {
+        combo: naive_perimeter(c for p, c in enumerate(cells) if p not in combo) for combo in combos
+    }
+    limit = [4 * m * n]
+    walk = _low_perimeter_pollutions(Shifts.of(grid(m, n)), k, limit)
+    head = [next(walk)[0] for _ in range(after)]
+    assert head == combos[:after]
+    limit[0] = lowered
+    tail = [c for c in combos[after:] if perimeter[c] <= lowered]
+    assert 0 < len(tail) < len(combos) - after
+    assert [g[0] for g in walk] == tail
 
 
 def test_sweep_oracles_validate_inputs():
@@ -271,6 +343,72 @@ def test_mkmin_exact_budget_error_carries_bounds():
     err = exc.value
     assert err.lower_bound == 3
     assert err.upper_bound == 8
+
+
+# mkmin_exact under the budgets 1, 3, 10 and 30: (nodes, lower_bound,
+# upper_bound) of the BudgetExceededError raised, or the value returned; every
+# k not listed returns its value under all four budgets
+SWEEP_BUDGET_OUTCOMES = {
+    (8, 2, 0): [(2, 4, 16), (4, 4, 16), (11, 4, 16), 5],
+    (8, 2, 1): [(2, 4, 15), (4, 4, 15), 5, 5],
+    (8, 2, 2): [(2, 4, 14), (4, 4, 14), (11, 4, 14), 5],
+    (8, 2, 3): [(2, 4, 13), (4, 4, 13), 5, 5],
+    (8, 2, 4): [(2, 4, 12), (4, 4, 12), (11, 4, 12), 4],
+    (8, 2, 5): [(2, 4, 11), (4, 4, 11), (11, 4, 5), 4],
+    (8, 2, 6): [(2, 4, 10), (4, 4, 10), (11, 4, 10), 4],
+    (8, 2, 7): [(2, 3, 9), (4, 3, 9), (11, 3, 5), 4],
+    (8, 2, 8): [(2, 3, 8), (4, 3, 8), (11, 3, 5), 3],
+    (8, 2, 9): [(2, 3, 7), (4, 3, 7), 3, 3],
+    (8, 2, 10): [(2, 3, 6), (4, 3, 6), 3, 3],
+    (8, 2, 11): [(2, 3, 5), 3, 3, 3],
+    (8, 2, 12): [(2, 2, 4), (4, 2, 3), 2, 2],
+    (5, 5, 0): [(2, 5, 25), (4, 5, 25), (11, 5, 25), 5],
+    (5, 5, 1): [(2, 5, 24), (4, 5, 24), (11, 5, 24), (31, 5, 24)],
+    (5, 5, 2): [(2, 5, 23), (4, 5, 23), (11, 5, 23), 5],
+    (5, 5, 3): [(2, 5, 22), (4, 5, 22), (11, 5, 22), 5],
+    (5, 5, 4): [(2, 5, 21), (4, 5, 21), (11, 5, 21), 5],
+    (5, 5, 5): [(2, 5, 20), (4, 5, 20), (11, 5, 20), 5],
+    (5, 5, 6): [(2, 5, 19), (4, 5, 19), (11, 5, 19), 5],
+    (5, 5, 7): [(2, 5, 18), (4, 5, 18), (11, 5, 18), 5],
+    (5, 5, 8): [(2, 5, 17), (4, 5, 17), (11, 5, 17), 5],
+    (5, 5, 9): [(2, 4, 16), (4, 4, 16), (11, 4, 16), (31, 4, 5)],
+    (5, 5, 10): [(2, 4, 15), (4, 4, 15), (11, 4, 15), 4],
+    (5, 5, 11): [(2, 4, 14), (4, 4, 14), (11, 4, 14), 4],
+    (5, 5, 12): [(2, 4, 13), (4, 4, 13), (11, 4, 13), 4],
+    (5, 5, 13): [(2, 4, 12), (4, 4, 12), (11, 4, 12), 4],
+    (5, 5, 14): [(2, 4, 11), (4, 4, 11), (11, 4, 11), 4],
+    (5, 5, 15): [(2, 4, 10), (4, 4, 10), (11, 4, 10), 4],
+    (5, 5, 16): [(2, 3, 9), (4, 3, 9), (11, 3, 4), 3],
+    (5, 5, 17): [(2, 3, 8), (4, 3, 8), (11, 3, 4), 3],
+    (5, 5, 18): [(2, 3, 7), (4, 3, 7), 3, 3],
+    (5, 5, 19): [(2, 3, 6), (4, 3, 6), 3, 3],
+    (5, 5, 20): [(2, 3, 5), 3, 3, 3],
+    (5, 5, 21): [(2, 2, 4), (4, 2, 3), 2, 2],
+    (1, 12, 0): [(2, 4, 12), (4, 4, 12), (11, 4, 12), 7],
+    (1, 12, 1): [(2, 4, 11), (4, 4, 11), (11, 4, 11), 6],
+    (1, 12, 2): [(2, 4, 10), (4, 4, 10), 6, 6],
+    (1, 12, 3): [(2, 3, 9), (4, 3, 9), 5, 5],
+    (1, 12, 4): [(2, 3, 8), (4, 3, 8), 5, 5],
+    (1, 12, 5): [(2, 3, 7), (4, 3, 7), 4, 4],
+    (1, 12, 6): [(2, 3, 6), (4, 3, 6), 4, 4],
+    (1, 12, 7): [(2, 3, 5), 3, 3, 3],
+    (1, 12, 8): [(2, 2, 4), 3, 3, 3],
+}
+
+
+@pytest.mark.parametrize("m,n", [(8, 2), (5, 5), (1, 12)])
+def test_mkmin_exact_budget_errors_are_frozen(m, n):
+    for k in range(m * n + 1):
+        outcomes = []
+        for budget in (1, 3, 10, 30):
+            try:
+                outcomes.append(mkmin_exact(m, n, k, budget=budget))
+            except BudgetExceededError as exc:
+                outcomes.append((exc.nodes, exc.lower_bound, exc.upper_bound))
+                assert (exc.start_bound, exc.forced, exc.level_nodes) == (0, 0, ())
+                assert (exc.suffix_prunes, exc.perimeter_prunes) == (0, 0)
+        expected = SWEEP_BUDGET_OUTCOMES.get((m, n, k), [mkmin_exact(m, n, k)] * 4)
+        assert outcomes == expected, (m, n, k)
 
 
 def test_fixed_polyomino_counts():
