@@ -132,6 +132,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             "level_nodes": list(result.level_nodes),
             "suffix_prunes": result.suffix_prunes,
             "perimeter_prunes": result.perimeter_prunes,
+            "symmetry_prunes": result.symmetry_prunes,
         }
         print(json.dumps(payload, sort_keys=True))
     else:

@@ -67,6 +67,7 @@ class BudgetExceededError(PgridError):
         level_nodes: tuple[int, ...] = (),
         suffix_prunes: int = 0,
         perimeter_prunes: int = 0,
+        symmetry_prunes: int = 0,
     ):
         super().__init__(message)
         self.nodes = nodes
@@ -77,6 +78,7 @@ class BudgetExceededError(PgridError):
         self.level_nodes = level_nodes
         self.suffix_prunes = suffix_prunes
         self.perimeter_prunes = perimeter_prunes
+        self.symmetry_prunes = symmetry_prunes
 
 
 class InternalConsistencyError(PgridError):

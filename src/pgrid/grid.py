@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyGraphError, InvalidVertexError, ParameterError
@@ -270,31 +271,45 @@ def min_degree(instance: PollutedInstance) -> int:
     return next((d for d in (4, 3, 2, 1) if not residual & ~shifts.at_least(residual, d)), 0)
 
 
-def _symmetries(m: int, n: int) -> list[tuple[int, ...]]:
-    """Index permutations of the ``m x n`` grid's automorphisms, the identity left out.
+def _symmetries(m: int, n: int, wrap: bool = False) -> list[tuple[int, ...]]:
+    """Index permutations of the ``m x n`` board's automorphisms, the identity left out.
 
-    Entry ``p`` of a table is the image of cell ``p``.  The maps are the two
-    reflections and the half turn, and on a square board also the two
+    Entry ``p`` of a table is the image of cell ``p``.  The grid's maps are the
+    two reflections and the half turn, and on a square board also the two
     transposes and the two quarter turns; maps that fix every cell of a
-    one-wide board, and repeats, are dropped.
+    one-wide board, and repeats, are dropped.  A torus has each of them, and
+    the identity, followed by each of its mn translations: 4mn or 8mn maps in
+    all.  (The 4 x 4 torus is the 4-cube, whose other automorphisms are left
+    out.)
     """
-    a, b = m - 1, n - 1
-    maps = [lambda x, y: (a - x, y), lambda x, y: (x, b - y), lambda x, y: (a - x, b - y)]
+    if wrap:
+        point = [tuple(range(m * n))] + _symmetries(m, n)
+        return [_moved(q, dx, dy, m, n) for dy in range(n) for dx in range(m) for q in point][1:]
+    cells = range(m * n)
+    rows = [cells[p : p + m] for p in range(0, m * n, m)]
+    # (m-1-x, y), (x, n-1-y) and the half turn, then on a square board (y, x)
+    # and each of the first three after it; every table is built from a list,
+    # as a tuple grown from an iterator is resized and strands its block on
+    # another length's free list
+    maps = [
+        tuple(list(chain.from_iterable(map(reversed, rows)))),
+        tuple(list(chain.from_iterable(reversed(rows)))),
+        tuple(reversed(cells)),
+    ]
     if m == n:
-        maps += [
-            lambda x, y: (y, x),
-            lambda x, y: (b - y, a - x),
-            lambda x, y: (y, a - x),
-            lambda x, y: (b - y, x),
-        ]
-    identity = tuple(range(m * n))
+        swap = tuple(list(chain.from_iterable(zip(*rows))))
+        maps += [swap] + [tuple(list(map(q.__getitem__, swap))) for q in maps]
+    identity = tuple(cells)
     tables = []
-    for f in maps:
-        images = (f(p % m, p // m) for p in identity)
-        table = tuple(y * m + x for x, y in images)
+    for table in maps:
         if table != identity and table not in tables:
             tables.append(table)
     return tables
+
+
+def _moved(table: tuple[int, ...], dx: int, dy: int, m: int, n: int) -> tuple[int, ...]:
+    """``table`` followed by the torus translation of dx columns right and dy rows down."""
+    return tuple([(c + dx) % m + (c // m + dy) % n * m for c in table])
 
 
 def _set_bits(mask: int) -> Iterator[int]:

@@ -7,8 +7,9 @@ below r forced into every candidate (nothing can ever infect them).
 Each seed size s is one depth-first search over the free cells, choosing
 them in ascending canonical index: the leaves are met in the order
 ``itertools.combinations`` yields them, and each leaf costs one closure.
-Two prunes cut only subtrees that hold no percolating set of size s, so the
-first percolating leaf, the reported witness, is the lexicographically
+Two prunes cut only subtrees that hold no percolating set of size s, and a
+symmetry rule cuts only subtrees that cannot hold the least percolating set,
+so the first percolating leaf, the reported witness, is the lexicographically
 least minimum-size set, and results are identical run to run.
 
 - Suffix prune (any r and topology).  The closure is monotone in the seed
@@ -23,6 +24,20 @@ least minimum-size set, and results are identical run to run.
   the perimeter, while one more seed raises it by at most 4.  A node whose
   seeds' closure has perimeter p, with k seeds still to choose, can reach
   at most perimeter p + 4k, so it is cut when that is below the residual's.
+- Symmetry rule (``min_percolating_exact``, once a level has failed).  G is
+  the group of board maps (reflections, turns and, on a torus, translations)
+  that send the pollution onto itself; they send the forced cells, and so
+  the free ones, onto themselves as well.  A node may add only a cell that
+  no map of G fixing every cell it chose sends to a lower index.  Let
+  W = w_0 < ... < w_(s-1) be the free cells of a percolating set that breaks
+  this at w_d, through a map g that fixes w_0 .. w_(d-1) and sends w_d
+  lower.  Then g(W) percolates too and holds w_0 .. w_(d-1) and g(w_d), which
+  W lacks, while every cell of W below g(w_d) is one of w_0 .. w_(d-1), so
+  g(W) sorts before W.  The least percolating set therefore keeps the rule
+  at every depth, and the search still meets it first.  The group is
+  built only when a level fails, so a search that succeeds at its start
+  bound pays nothing for it.  ``mkmin_exact`` and ``mkmax_exact`` do without:
+  they already search one pollution per orbit.
 
 The search keeps its path on an explicit stack, so deep levels (a 1 x 2000
 path needs 1,001 seeds) never meet the recursion limit.  All oracles share
@@ -51,11 +66,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import eq
 from typing import Iterator
 
 from .engine import closure_mask
 from .errors import BudgetExceededError, ParameterError
-from .grid import CellSet, PollutedInstance, Shifts, Topology, _set_bits, _symmetries, grid
+from .grid import (
+    CellSet,
+    PollutedInstance,
+    Shifts,
+    Topology,
+    _mask_of,
+    _moved,
+    _set_bits,
+    _symmetries,
+    grid,
+)
 from .perimeter import min_perimeter
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -70,7 +96,7 @@ class SearchResult:
     ``nodes_explored`` counts every closure run.  The search tried the seed
     sizes ``start_bound`` to ``size``, and ``level_nodes[i]`` is the number
     of closures run at size ``start_bound + i``.  ``forced`` counts the seeds
-    every percolating set contains, and the two prune counts say how often
+    every percolating set contains, and the three prune counts say how often
     each prune cut the search.
     """
 
@@ -82,6 +108,7 @@ class SearchResult:
     level_nodes: tuple[int, ...] = ()
     suffix_prunes: int = 0
     perimeter_prunes: int = 0
+    symmetry_prunes: int = 0
 
 
 class _OutOfBudget(Exception):
@@ -98,7 +125,7 @@ class _Budget:
 
     __slots__ = (
         "limit", "used", "level", "start_bound", "forced", "level_nodes",
-        "suffix_prunes", "perimeter_prunes",
+        "suffix_prunes", "perimeter_prunes", "symmetry_prunes",
     )
 
     def __init__(self, limit: int):
@@ -112,11 +139,104 @@ class _Budget:
         self.level_nodes: list[int] = []
         self.suffix_prunes = 0
         self.perimeter_prunes = 0
+        self.symmetry_prunes = 0
 
     def tick(self) -> None:
         self.used += 1
         if self.used > self.limit:
             raise _OutOfBudget
+
+
+#: the cells a search node may add, as a mask, and the maps that fix the cells
+#: it chose, as index tables
+_Stabilizer = tuple[int, tuple[tuple[int, ...], ...]]
+
+
+class _Symmetry:
+    """The automorphisms of a board that map one instance's pollution onto itself.
+
+    Each is a map of :func:`grid._symmetries` or the identity, held in
+    ``points``, followed on a torus by a translation ``(dx, dy)``; ``maps``
+    holds the nontrivial ones as ``(point, dx, dy)``, or is None on a clean
+    torus, which every map keeps.  ``least`` marks the cells that no map
+    sends to a lower index, one per orbit.  Only the few maps that fix a cell
+    are built as index tables, once per cell asked for.
+    """
+
+    __slots__ = ("m", "n", "points", "maps", "least", "fixed")
+
+    def __init__(self, shifts: Shifts, blocked: int):
+        m, size, full, first = shifts.m, shifts.size, shifts.full, shifts.first
+        n = size // m
+        self.m, self.n = m, n
+        self.points = points = [tuple(range(size))] + _symmetries(m, n)
+        self.fixed: dict[int, _Stabilizer] = {}
+        self.maps: set[tuple[int, int, int]] | None = None
+        if shifts.wrap and not blocked:
+            # the translations alone take cell 0 to every cell: one orbit
+            self.least = 1
+            return
+        polluted = list(_set_bits(blocked))
+
+        def moved(x: int, dx: int, dy: int) -> int:
+            # x moved dy rows down, then dx columns right, around the torus
+            x = (x << dy * m | x >> (size - dy * m)) & full
+            left = first * ((1 << (m - dx)) - 1)
+            return (x & left) << dx | (x & ~left) >> (m - dx)
+
+        self.maps = maps = set()
+        for i, q in enumerate(points):
+            moves = [(0, 0)]
+            if shifts.wrap:
+                # a map that keeps the pollution sends its first cell to one of its cells
+                c = q[polluted[0]]
+                moves = {((a - c) % m, (a // m - c // m) % n) for a in polluted}
+            image = 0
+            for p in polluted:
+                image |= 1 << q[p]
+            for dx, dy in moves:
+                if moved(image, dx, dy) == blocked:
+                    maps.add((i, dx, dy))
+        maps.discard((0, 0, 0))
+        if not maps:  # only the identity: every cell is least in its orbit
+            self.least = full
+            return
+        self.least = 0
+        rest = full
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            self.least |= 1 << v
+            orbit = 1 << v
+            for i, dx, dy in maps:
+                c = points[i][v]
+                orbit |= 1 << (c + dx) % m + (c // m + dy) % n * m
+            rest &= ~orbit
+
+    def fixing(self, v: int) -> _Stabilizer:
+        """:func:`_stabilizer` of the maps other than the identity that fix cell ``v``.
+
+        On a torus each point map is followed by exactly one translation that
+        takes ``v`` back home, so there are at most seven.
+        """
+        stab = self.fixed.get(v)
+        if stab is None:
+            m, n, maps = self.m, self.n, self.maps
+            fixing = []
+            for i, q in enumerate(self.points[1:], 1):
+                c = q[v]
+                dx, dy = (v - c) % m, (v // m - c // m) % n
+                if maps is None or (i, dx, dy) in maps:
+                    fixing.append(_moved(q, dx, dy, m, n))
+            stab = self.fixed[v] = _stabilizer(fixing)
+        return stab
+
+
+def _stabilizer(maps: list[tuple[int, ...]]) -> _Stabilizer:
+    """The mask of the cells that none of ``maps`` sends to a lower index, and ``maps``."""
+    if not maps:
+        return -1, ()
+    cells = range(len(maps[0]))
+    return _mask_of(bytes(map(eq, map(min, cells, *maps), cells)), "\x01"), tuple(maps)
 
 
 def _min_search(
@@ -127,8 +247,13 @@ def _min_search(
     s0: int,
     cap: int | None,
     bud: _Budget,
+    symmetric: bool = False,
 ) -> tuple[int | None, int | None]:
-    """Smallest percolating seed set for one instance, or None if above cap."""
+    """Smallest percolating seed set for one instance, or None if above cap.
+
+    With ``symmetric`` set, the levels after the first search only canonical
+    seeds under the automorphisms that map ``blocked`` onto itself.
+    """
     t = residual.bit_count()
     forced = residual & ~shifts.at_least(residual, r)
     hi = t if cap is None else min(cap, t)
@@ -145,12 +270,20 @@ def _min_search(
     for j in range(len(free) - 1, -1, -1):
         suffix[j] = suffix[j + 1] | free[j]
     target = shifts.perimeter(residual) if r == 2 and not shifts.wrap else None
+    sym = None
     for s in range(lo, hi + 1):
+        if s > lo and symmetric:
+            # built only once a level has failed, so a search that succeeds at
+            # its start bound pays nothing for it
+            symmetric = False
+            sym = _Symmetry(shifts, blocked)
+            if sym.maps == set():
+                sym = None
         bud.level = s
         used = bud.used
         try:
             seed_mask = _level_search(
-                shifts, blocked, residual, r, forced, free, suffix, s - n_forced, target, bud
+                shifts, blocked, residual, r, forced, free, suffix, s - n_forced, target, sym, bud
             )
         finally:
             bud.level_nodes.append(bud.used - used)
@@ -169,6 +302,7 @@ def _level_search(
     suffix: list[int],
     need: int,
     target: int | None,
+    sym: _Symmetry | None,
     bud: _Budget,
 ) -> int | None:
     """First percolating ``forced`` plus ``need`` cells of ``free``, in combinations order.
@@ -176,7 +310,8 @@ def _level_search(
     A node is a partial seed with ``k`` cells left to choose; its child ``j``
     adds ``free[j]``, for ascending j above the last cell the node holds.
     ``target`` is the residual's perimeter where the perimeter-gap prune
-    applies, else None.
+    applies, else None.  With ``sym``, a child must be a cell that the maps
+    fixing every cell the node chose send to no lower index.
     """
     closure = closure_mask
     last = len(free)
@@ -194,9 +329,12 @@ def _level_search(
     if target is not None and gap_cut(forced, need):
         return None
     # the node at depth d is seeds[d] and nexts[d] is its next child; its
-    # first child is 0 at the root and else its parent's next, nexts[d - 1]
+    # first child is 0 at the root and else its parent's next, nexts[d - 1];
+    # with sym, stabs[d] is the _stabilizer of the maps that fix the cells the
+    # node chose, all of them at the root, where it holds no tables (None)
     seeds = [forced]
     nexts = [0]
+    stabs = None if sym is None else [(sym.least, None)]
     while nexts:
         d = len(nexts) - 1
         k = need - d
@@ -204,8 +342,13 @@ def _level_search(
         if j > last - k:
             seeds.pop()
             nexts.pop()
+            if stabs:
+                stabs.pop()
             continue
         nexts[d] = j + 1
+        if stabs and not free[j] & stabs[d][0]:
+            bud.symmetry_prunes += 1
+            continue
         seed = seeds[d]
         if k == 1:
             bud.tick()
@@ -223,6 +366,11 @@ def _level_search(
             continue
         seeds.append(child)
         nexts.append(j + 1)
+        if stabs:
+            v = free[j].bit_length() - 1
+            maps = stabs[d][1]
+            stab = sym.fixing(v) if maps is None else _stabilizer([q for q in maps if q[v] == v])
+            stabs.append(stab)
     return None
 
 
@@ -240,7 +388,9 @@ def min_percolating_exact(
     s0 = shifts.perimeter_floor(residual) if spec.topology is Topology.GRID and r == 2 else 1
     bud = _Budget(budget)
     try:
-        size, witness_mask = _min_search(shifts, instance.polluted.mask, residual, r, s0, None, bud)
+        size, witness_mask = _min_search(
+            shifts, instance.polluted.mask, residual, r, s0, None, bud, symmetric=True
+        )
     except _OutOfBudget:
         raise BudgetExceededError(
             f"budget of {budget} closure evaluations exhausted at seed size {bud.level}",
@@ -252,6 +402,7 @@ def min_percolating_exact(
             level_nodes=tuple(bud.level_nodes),
             suffix_prunes=bud.suffix_prunes,
             perimeter_prunes=bud.perimeter_prunes,
+            symmetry_prunes=bud.symmetry_prunes,
         ) from None
     assert size is not None and witness_mask is not None
     return SearchResult(
@@ -263,6 +414,7 @@ def min_percolating_exact(
         tuple(bud.level_nodes),
         bud.suffix_prunes,
         bud.perimeter_prunes,
+        bud.symmetry_prunes,
     )
 
 

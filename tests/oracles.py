@@ -100,21 +100,27 @@ def naive_pollution_numbers(m, n, k, r):
     ]
 
 
-def naive_symmetries(m, n):
-    """The grid's automorphisms as dicts cell -> image, closed under composition.
+def naive_symmetries(m, n, topology="grid"):
+    """The board's automorphisms as dicts cell -> image, closed under composition.
 
-    Generated from the reflections (i, j) -> (m+1-i, j) and (i, n+1-j), and
-    on a square board also the transpose (i, j) -> (j, i).
+    Generated from the reflections (i, j) -> (m+1-i, j) and (i, n+1-j), on a
+    square board also the transpose (i, j) -> (j, i), and on a torus also the
+    unit translations (i, j) -> (i mod m + 1, j) and (i, j mod n + 1).
     """
     cells = canonical_cells(m, n)
     moves = [lambda i, j: (m + 1 - i, j), lambda i, j: (i, n + 1 - j)]
     if m == n:
         moves.append(lambda i, j: (j, i))
+    if topology == "torus":
+        moves += [lambda i, j: (i % m + 1, j), lambda i, j: (i, j % n + 1)]
     group = [{c: c for c in cells}]
+    seen = {tuple(cells)}
     for g in group:  # the list grows while it is walked, until no new map appears
         for move in moves:
             h = {c: move(*g[c]) for c in cells}
-            if h not in group:
+            key = tuple(h[c] for c in cells)
+            if key not in seen:
+                seen.add(key)
                 group.append(h)
     return group
 

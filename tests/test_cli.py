@@ -123,6 +123,25 @@ def test_search_json(board, capsys):
         "level_nodes": [19],
         "suffix_prunes": 0,
         "perimeter_prunes": 5,
+        "symmetry_prunes": 0,
+    }
+
+
+def test_search_json_counts_symmetry_prunes(tmp_path, capsys):
+    path = tmp_path / "torus.pgrid"
+    path.write_text("pgrid v1\nm=5 n=5 topology=torus\n" + ".....\n" * 5)
+    assert cli.run(["search", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {
+        "nodes_explored": 368,
+        "size": 4,
+        "witness": [[1, 5], [3, 5], [4, 4], [1, 2]],
+        "start_bound": 1,
+        "forced": 0,
+        "level_nodes": [25, 5, 60, 278],
+        "suffix_prunes": 0,
+        "perimeter_prunes": 0,
+        "symmetry_prunes": 177,
     }
 
 

@@ -241,3 +241,26 @@ def test_symmetry_tables_are_the_grid_automorphisms(m, n):
     assert identity not in tables
     assert len(set(tables)) == len(tables) == len(group) - 1
     assert set(tables) | {identity} == group
+
+
+@pytest.mark.parametrize("m", range(3, 7))
+@pytest.mark.parametrize("n", range(3, 7))
+def test_symmetry_tables_are_the_torus_translations_and_reflections(m, n):
+    cells = canonical_cells(m, n)
+    tables = _symmetries(m, n, wrap=True)
+    neighbours = [
+        (p, s)
+        for p, u in enumerate(cells)
+        for s, v in enumerate(cells)
+        if naive_adjacent(m, n, "torus", u, v)
+    ]
+    for q in tables:
+        assert sorted(q) == list(range(m * n))
+        for p, s in neighbours:
+            assert naive_adjacent(m, n, "torus", cells[q[p]], cells[q[s]])
+    group = {tuple(cells.index(g[c]) for c in cells) for g in naive_symmetries(m, n, "torus")}
+    identity = tuple(range(m * n))
+    assert len(group) == (8 if m == n else 4) * m * n
+    assert identity not in tables
+    assert len(set(tables)) == len(tables) == len(group) - 1
+    assert set(tables) | {identity} == group

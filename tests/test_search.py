@@ -26,7 +26,7 @@ from pgrid import (
 )
 from pgrid import search
 from pgrid.engine import closure_mask
-from pgrid.grid import Shifts
+from pgrid.grid import Shifts, _symmetries
 from pgrid.search import _fixed_polyominoes, _low_perimeter_pollutions, _Orbits
 
 from oracles import (
@@ -120,8 +120,9 @@ def test_min_percolating_is_deterministic():
     [
         (grid(5, 5), 2, 5, 29, 0x100415),
         (grid(6, 5), 2, 6, 34, 0x100102B),
-        (torus(5, 5), 2, 4, 2259, 0x8105),
-        (torus(4, 4), 3, 6, 3030, 0x8525),
+        # without symmetry breaking the tori take 2,259 and 3,030 closures
+        (torus(5, 5), 2, 4, 368, 0x8105),
+        (torus(4, 4), 3, 6, 1213, 0x8525),
         (grid(3, 3), 4, 8, 1, 0x1EF),
         (grid(2, 2), 5, 4, 1, 0xF),
         # trying every 7-set in order takes 93,689 closures
@@ -146,7 +147,7 @@ def test_nodes_explored_counts_every_closure(spec, r, monkeypatch):
     monkeypatch.setattr(search, "closure_mask", counted)
     result = min_percolating_exact(PollutedInstance.of(spec), r)
     assert result.nodes_explored == len(calls)
-    assert result.suffix_prunes + result.perimeter_prunes > 0
+    assert result.suffix_prunes + result.perimeter_prunes + result.symmetry_prunes > 0
 
 
 @pytest.mark.parametrize("spec,r", [(grid(5, 5), 2), (grid(4, 4), 3), (torus(4, 3), 2)])
@@ -168,12 +169,14 @@ def test_budget_error_carries_the_search_counts():
     assert str(err) == "budget of 20 closure evaluations exhausted at seed size 7"
     assert (err.nodes, err.lower_bound, err.upper_bound) == (21, 7, 42)
     assert (err.start_bound, err.forced, err.level_nodes) == (7, 0, (21,))
-    assert (err.suffix_prunes, err.perimeter_prunes) == (0, 8)
+    assert (err.suffix_prunes, err.perimeter_prunes, err.symmetry_prunes) == (0, 8, 0)
 
 
 @pytest.mark.parametrize("budget", [30, 300, 2000])
 def test_budget_error_counts_the_partial_last_level(budget):
-    instance = PollutedInstance.of(torus(5, 5))
+    # 2,337 closures: budget 30 stops in the first level, 300 and 2000 in later
+    # ones, where the search skips cells that are not least in their orbit
+    instance = PollutedInstance.of(torus(6, 5))
     done = min_percolating_exact(instance)
     with pytest.raises(BudgetExceededError) as exc:
         min_percolating_exact(instance, budget=budget)
@@ -184,6 +187,7 @@ def test_budget_error_counts_the_partial_last_level(budget):
     assert err.start_bound == done.start_bound
     assert err.lower_bound == done.start_bound + len(err.level_nodes) - 1
     assert err.suffix_prunes <= done.suffix_prunes
+    assert err.symmetry_prunes <= done.symmetry_prunes
 
 
 def test_deep_level_needs_no_recursion():
@@ -226,6 +230,119 @@ def test_min_percolating_matches_naive_enumeration(case):
     result = min_percolating_exact(instance, r=r)
     assert result.size == expected_size
     assert _cells(result.witness) == expected_witness
+
+
+def _closed_under(g, cells):
+    """The least superset of ``cells`` that the map ``g`` sends onto itself."""
+    closed = set(cells)
+    while not {g[c] for c in closed} <= closed:
+        closed |= {g[c] for c in closed}
+    return closed
+
+
+@st.composite
+def symmetric_instances(draw, boards):
+    """A pollution closed under a random map of a board drawn from ``(topology, m, n,
+    largest r)`` entries, the identity and the empty pollution included, and an r."""
+    topology, m, n, r_max = draw(st.sampled_from(boards))
+    g = draw(st.sampled_from(naive_symmetries(m, n, topology)))
+    cells = draw(st.sets(st.sampled_from(canonical_cells(m, n)), max_size=2))
+    spec = grid(m, n) if topology == "grid" else torus(m, n)
+    return PollutedInstance.of(spec, _closed_under(g, cells)), draw(st.integers(1, r_max))
+
+
+# boards on which the naive oracle stays fast
+NAIVE_SYMMETRIC_BOARDS = [
+    ("grid", 3, 3, 3), ("grid", 4, 3, 3), ("grid", 3, 4, 3), ("grid", 4, 4, 2),
+    ("grid", 5, 3, 2), ("torus", 3, 3, 3), ("torus", 4, 3, 3), ("torus", 3, 4, 3),
+    ("torus", 4, 4, 2), ("torus", 5, 3, 2),
+]
+
+
+@given(case=symmetric_instances(NAIVE_SYMMETRIC_BOARDS))
+@settings(max_examples=150, deadline=None)
+def test_symmetric_pollutions_match_naive_enumeration(case):
+    instance, r = case
+    spec = instance.spec
+    polluted = _cells(instance.polluted)
+    result = min_percolating_exact(instance, r=r)
+    expected_size, expected_witness = naive_min_percolating(
+        spec.m, spec.n, spec.topology.value, polluted, r
+    )
+    assert (result.size, _cells(result.witness)) == (expected_size, expected_witness)
+
+
+def _plain_search(instance, r):
+    """min_percolating_exact's search with no symmetry breaking: size and witness mask."""
+    shifts = Shifts.of(instance.spec)
+    residual = instance.residual.mask
+    if not residual:
+        return 0, 0
+    s0 = shifts.perimeter_floor(residual) if r == 2 and not shifts.wrap else 1
+    bud = search._Budget(10**6)
+    return search._min_search(shifts, instance.polluted.mask, residual, r, s0, None, bud)
+
+
+# boards whose stabilizers run several cells deep; the plain search stays below 0.1 s
+MIDSIZE_SYMMETRIC_BOARDS = [
+    ("torus", 5, 5, 2), ("torus", 6, 5, 2), ("torus", 5, 4, 2), ("torus", 4, 4, 3),
+    ("torus", 5, 3, 3), ("grid", 6, 6, 2), ("grid", 5, 5, 3), ("grid", 6, 4, 3),
+]
+
+
+@given(case=symmetric_instances(MIDSIZE_SYMMETRIC_BOARDS))
+@settings(max_examples=60, deadline=None)
+def test_symmetric_pollutions_match_the_plain_search(case):
+    instance, r = case
+    result = min_percolating_exact(instance, r)
+    assert (result.size, result.witness.mask) == _plain_search(instance, r)
+
+
+@pytest.mark.parametrize(
+    "topology,m,n,polluted",
+    [
+        ("grid", 5, 5, []),
+        ("grid", 4, 4, [(2, 2), (3, 3)]),
+        ("grid", 1, 6, [(1, 1), (1, 6)]),
+        ("torus", 4, 4, []),
+        ("torus", 5, 3, []),
+        ("torus", 6, 4, [(1, 1), (4, 1), (1, 3), (4, 3)]),
+        ("torus", 5, 5, [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)]),
+        ("torus", 4, 5, [(1, 1), (2, 1), (3, 4)]),
+    ],
+)
+def test_symmetry_group_is_the_maps_that_keep_the_pollution(topology, m, n, polluted):
+    spec = grid(m, n) if topology == "grid" else torus(m, n)
+    blocked = PollutedInstance.of(spec, polluted).polluted.mask
+    sym = search._Symmetry(Shifts.of(spec), blocked)
+    kept = [
+        q
+        for q in _symmetries(m, n, wrap=topology == "torus")
+        if sum(1 << q[p] for p in range(m * n) if blocked >> p & 1) == blocked
+    ]
+    if topology == "torus" and not polluted:
+        assert sym.maps is None  # every map keeps a clean torus's pollution
+    else:
+        assert len(sym.maps) == len(kept)
+    assert sym.least == sum(1 << p for p in range(m * n) if all(q[p] >= p for q in kept))
+    for p in range(m * n):
+        mask, fixing = sym.fixing(p)
+        assert set(fixing) == {q for q in kept if q[p] == p}
+        least = sum(1 << c for c in range(m * n) if all(q[c] >= c for q in fixing))
+        assert mask & (1 << m * n) - 1 == least
+
+
+def test_searches_that_succeed_at_their_start_bound_build_no_group(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("symmetry group built")
+
+    monkeypatch.setattr(search, "_symmetries", refuse)
+    for spec in (grid(6, 5), grid(7, 6)):
+        result = min_percolating_exact(PollutedInstance.of(spec))
+        assert len(result.level_nodes) == 1
+        assert result.symmetry_prunes == 0
+    with pytest.raises(AssertionError, match="symmetry group built"):
+        min_percolating_exact(PollutedInstance.of(torus(3, 3)))
 
 
 @pytest.mark.parametrize(
@@ -406,7 +523,7 @@ def test_mkmin_exact_budget_errors_are_frozen(m, n):
             except BudgetExceededError as exc:
                 outcomes.append((exc.nodes, exc.lower_bound, exc.upper_bound))
                 assert (exc.start_bound, exc.forced, exc.level_nodes) == (0, 0, ())
-                assert (exc.suffix_prunes, exc.perimeter_prunes) == (0, 0)
+                assert (exc.suffix_prunes, exc.perimeter_prunes, exc.symmetry_prunes) == (0, 0, 0)
         expected = SWEEP_BUDGET_OUTCOMES.get((m, n, k), [mkmin_exact(m, n, k)] * 4)
         assert outcomes == expected, (m, n, k)
 
