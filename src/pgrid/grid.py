@@ -271,20 +271,15 @@ def min_degree(instance: PollutedInstance) -> int:
     return next((d for d in (4, 3, 2, 1) if not residual & ~shifts.at_least(residual, d)), 0)
 
 
-def _symmetries(m: int, n: int, wrap: bool = False) -> list[tuple[int, ...]]:
-    """Index permutations of the ``m x n`` board's automorphisms, the identity left out.
+def _symmetries(m: int, n: int) -> list[tuple[int, ...]]:
+    """Index permutations of the ``m x n`` grid's automorphisms, the identity left out.
 
-    Entry ``p`` of a table is the image of cell ``p``.  The grid's maps are the
-    two reflections and the half turn, and on a square board also the two
+    Entry ``p`` of a table is the image of cell ``p``.  The maps are the two
+    reflections and the half turn, and on a square board also the two
     transposes and the two quarter turns; maps that fix every cell of a
-    one-wide board, and repeats, are dropped.  A torus has each of them, and
-    the identity, followed by each of its mn translations: 4mn or 8mn maps in
-    all.  (The 4 x 4 torus is the 4-cube, whose other automorphisms are left
-    out.)
+    one-wide board, and repeats, are dropped.  On a torus each is followed by
+    a translation through :func:`_moved`.
     """
-    if wrap:
-        point = [tuple(range(m * n))] + _symmetries(m, n)
-        return [_moved(q, dx, dy, m, n) for dy in range(n) for dx in range(m) for q in point][1:]
     cells = range(m * n)
     rows = [cells[p : p + m] for p in range(0, m * n, m)]
     # (m-1-x, y), (x, n-1-y) and the half turn, then on a square board (y, x)

@@ -25,19 +25,24 @@ least minimum-size set, and results are identical run to run.
   seeds' closure has perimeter p, with k seeds still to choose, can reach
   at most perimeter p + 4k, so it is cut when that is below the residual's.
 - Symmetry rule (``min_percolating_exact``, once a level has failed).  G is
-  the group of board maps (reflections, turns and, on a torus, translations)
-  that send the pollution onto itself; they send the forced cells, and so
-  the free ones, onto themselves as well.  A node may add only a cell that
-  no map of G fixing every cell it chose sends to a lower index.  Let
-  W = w_0 < ... < w_(s-1) be the free cells of a percolating set that breaks
-  this at w_d, through a map g that fixes w_0 .. w_(d-1) and sends w_d
-  lower.  Then g(W) percolates too and holds w_0 .. w_(d-1) and g(w_d), which
-  W lacks, while every cell of W below g(w_d) is one of w_0 .. w_(d-1), so
-  g(W) sorts before W.  The least percolating set therefore keeps the rule
-  at every depth, and the search still meets it first.  The group is
-  built only when a level fails, so a search that succeeds at its start
-  bound pays nothing for it.  ``mkmin_exact`` and ``mkmax_exact`` do without:
-  they already search one pollution per orbit.
+  any group of board maps that send the pollution onto itself; they send the
+  forced cells, and so the free ones, onto themselves as well.  A node may
+  add only a cell that no map of G fixing every cell it chose sends to a
+  lower index.  Let W = w_0 < ... < w_(s-1) be the free cells of a
+  percolating set that breaks this at w_d, through a map g that fixes
+  w_0 .. w_(d-1) and sends w_d lower.  Then g(W) percolates too and holds
+  w_0 .. w_(d-1) and g(w_d), which W lacks, while every cell of W below
+  g(w_d) is one of w_0 .. w_(d-1), so g(W) sorts before W.  The least
+  percolating set therefore keeps the rule at every depth, and the search
+  still meets it first.  The code takes for G the reflections and turns
+  that keep the pollution, on a torus each followed by the translation that
+  takes the anchor, the first polluted cell, back home: at most seven maps
+  besides the identity, held as index tables.  A clean torus uses all its
+  maps: the translations take cell 0 to every cell, so the root may add
+  cell 0 alone, and below it only the maps that fix cell 0 remain.  The
+  group is built only when a level fails, so a search that succeeds at its
+  start bound pays nothing for it.  ``mkmin_exact`` and ``mkmax_exact`` do
+  without: they already search one pollution per orbit.
 
 The search keeps its path on an explicit stack, so deep levels (a 1 x 2000
 path needs 1,001 seeds) never meet the recursion limit.  All oracles share
@@ -152,91 +157,36 @@ class _Budget:
 _Stabilizer = tuple[int, tuple[tuple[int, ...], ...]]
 
 
-class _Symmetry:
-    """The automorphisms of a board that map one instance's pollution onto itself.
-
-    Each is a map of :func:`grid._symmetries` or the identity, held in
-    ``points``, followed on a torus by a translation ``(dx, dy)``; ``maps``
-    holds the nontrivial ones as ``(point, dx, dy)``, or is None on a clean
-    torus, which every map keeps.  ``least`` marks the cells that no map
-    sends to a lower index, one per orbit.  Only the few maps that fix a cell
-    are built as index tables, once per cell asked for.
-    """
-
-    __slots__ = ("m", "n", "points", "maps", "least", "fixed")
-
-    def __init__(self, shifts: Shifts, blocked: int):
-        m, size, full, first = shifts.m, shifts.size, shifts.full, shifts.first
-        n = size // m
-        self.m, self.n = m, n
-        self.points = points = [tuple(range(size))] + _symmetries(m, n)
-        self.fixed: dict[int, _Stabilizer] = {}
-        self.maps: set[tuple[int, int, int]] | None = None
-        if shifts.wrap and not blocked:
-            # the translations alone take cell 0 to every cell: one orbit
-            self.least = 1
-            return
-        polluted = list(_set_bits(blocked))
-
-        def moved(x: int, dx: int, dy: int) -> int:
-            # x moved dy rows down, then dx columns right, around the torus
-            x = (x << dy * m | x >> (size - dy * m)) & full
-            left = first * ((1 << (m - dx)) - 1)
-            return (x & left) << dx | (x & ~left) >> (m - dx)
-
-        self.maps = maps = set()
-        for i, q in enumerate(points):
-            moves = [(0, 0)]
-            if shifts.wrap:
-                # a map that keeps the pollution sends its first cell to one of its cells
-                c = q[polluted[0]]
-                moves = {((a - c) % m, (a // m - c // m) % n) for a in polluted}
-            image = 0
-            for p in polluted:
-                image |= 1 << q[p]
-            for dx, dy in moves:
-                if moved(image, dx, dy) == blocked:
-                    maps.add((i, dx, dy))
-        maps.discard((0, 0, 0))
-        if not maps:  # only the identity: every cell is least in its orbit
-            self.least = full
-            return
-        self.least = 0
-        rest = full
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            self.least |= 1 << v
-            orbit = 1 << v
-            for i, dx, dy in maps:
-                c = points[i][v]
-                orbit |= 1 << (c + dx) % m + (c // m + dy) % n * m
-            rest &= ~orbit
-
-    def fixing(self, v: int) -> _Stabilizer:
-        """:func:`_stabilizer` of the maps other than the identity that fix cell ``v``.
-
-        On a torus each point map is followed by exactly one translation that
-        takes ``v`` back home, so there are at most seven.
-        """
-        stab = self.fixed.get(v)
-        if stab is None:
-            m, n, maps = self.m, self.n, self.maps
-            fixing = []
-            for i, q in enumerate(self.points[1:], 1):
-                c = q[v]
-                dx, dy = (v - c) % m, (v // m - c // m) % n
-                if maps is None or (i, dx, dy) in maps:
-                    fixing.append(_moved(q, dx, dy, m, n))
-            stab = self.fixed[v] = _stabilizer(fixing)
-        return stab
-
-
 def _stabilizer(maps: list[tuple[int, ...]]) -> _Stabilizer:
     """The mask of the cells that none of ``maps`` sends to a lower index, and ``maps``."""
     if not maps:
         return -1, ()
     cells = range(len(maps[0]))
     return _mask_of(bytes(map(eq, map(min, cells, *maps), cells)), "\x01"), tuple(maps)
+
+
+def _group(shifts: Shifts, blocked: int) -> _Stabilizer | None:
+    """The root of the symmetry rule: maps that keep ``blocked``, as a :func:`_stabilizer`.
+
+    These are the :func:`grid._symmetries` tables that send the pollution
+    onto itself, on a torus each first followed by the one translation that
+    takes the anchor, the first polluted cell or else cell 0, back home: at
+    most seven maps.  A clean torus is transitive, so its root mask is cell 0
+    alone.  None if only the identity is left.
+    """
+    m, size = shifts.m, shifts.size
+    n = size // m
+    polluted = list(_set_bits(blocked))
+    tables = _symmetries(m, n)
+    if shifts.wrap:
+        a = polluted[0] if polluted else 0
+        tables = [_moved(q, (a - q[a]) % m, (a // m - q[a] // m) % n, m, n) for q in tables]
+    kept = [q for q in tables if sum(1 << q[p] for p in polluted) == blocked]
+    if not kept:
+        return None
+    if shifts.wrap and not blocked:
+        return 1, tuple(kept)
+    return _stabilizer(kept)
 
 
 def _min_search(
@@ -252,7 +202,7 @@ def _min_search(
     """Smallest percolating seed set for one instance, or None if above cap.
 
     With ``symmetric`` set, the levels after the first search only canonical
-    seeds under the automorphisms that map ``blocked`` onto itself.
+    seeds under the maps of :func:`_group`, which the root holds as tables.
     """
     t = residual.bit_count()
     forced = residual & ~shifts.at_least(residual, r)
@@ -270,20 +220,18 @@ def _min_search(
     for j in range(len(free) - 1, -1, -1):
         suffix[j] = suffix[j + 1] | free[j]
     target = shifts.perimeter(residual) if r == 2 and not shifts.wrap else None
-    sym = None
+    group = None
     for s in range(lo, hi + 1):
         if s > lo and symmetric:
             # built only once a level has failed, so a search that succeeds at
             # its start bound pays nothing for it
             symmetric = False
-            sym = _Symmetry(shifts, blocked)
-            if sym.maps == set():
-                sym = None
+            group = _group(shifts, blocked)
         bud.level = s
         used = bud.used
         try:
             seed_mask = _level_search(
-                shifts, blocked, residual, r, forced, free, suffix, s - n_forced, target, sym, bud
+                shifts, blocked, residual, r, forced, free, suffix, s - n_forced, target, group, bud
             )
         finally:
             bud.level_nodes.append(bud.used - used)
@@ -302,7 +250,7 @@ def _level_search(
     suffix: list[int],
     need: int,
     target: int | None,
-    sym: _Symmetry | None,
+    group: _Stabilizer | None,
     bud: _Budget,
 ) -> int | None:
     """First percolating ``forced`` plus ``need`` cells of ``free``, in combinations order.
@@ -310,8 +258,8 @@ def _level_search(
     A node is a partial seed with ``k`` cells left to choose; its child ``j``
     adds ``free[j]``, for ascending j above the last cell the node holds.
     ``target`` is the residual's perimeter where the perimeter-gap prune
-    applies, else None.  With ``sym``, a child must be a cell that the maps
-    fixing every cell the node chose send to no lower index.
+    applies, else None.  With ``group``, a child must be a cell that the maps
+    of ``group`` fixing every cell the node chose send to no lower index.
     """
     closure = closure_mask
     last = len(free)
@@ -330,11 +278,11 @@ def _level_search(
         return None
     # the node at depth d is seeds[d] and nexts[d] is its next child; its
     # first child is 0 at the root and else its parent's next, nexts[d - 1];
-    # with sym, stabs[d] is the _stabilizer of the maps that fix the cells the
-    # node chose, all of them at the root, where it holds no tables (None)
+    # with group, stabs[d] is the _stabilizer of its maps that fix the cells
+    # the node chose, the group itself at the root
     seeds = [forced]
     nexts = [0]
-    stabs = None if sym is None else [(sym.least, None)]
+    stabs = None if group is None else [group]
     while nexts:
         d = len(nexts) - 1
         k = need - d
@@ -368,9 +316,7 @@ def _level_search(
         nexts.append(j + 1)
         if stabs:
             v = free[j].bit_length() - 1
-            maps = stabs[d][1]
-            stab = sym.fixing(v) if maps is None else _stabilizer([q for q in maps if q[v] == v])
-            stabs.append(stab)
+            stabs.append(_stabilizer([q for q in stabs[d][1] if q[v] == v]))
     return None
 
 

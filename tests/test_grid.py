@@ -16,7 +16,7 @@ from pgrid import (
     neighbors,
     torus,
 )
-from pgrid.grid import MAX_CELLS, _symmetries
+from pgrid.grid import MAX_CELLS, _moved, _symmetries
 
 from oracles import EDGE_SHAPES, canonical_cells, naive_adjacent, naive_symmetries
 
@@ -246,8 +246,10 @@ def test_symmetry_tables_are_the_grid_automorphisms(m, n):
 @pytest.mark.parametrize("m", range(3, 7))
 @pytest.mark.parametrize("n", range(3, 7))
 def test_symmetry_tables_are_the_torus_translations_and_reflections(m, n):
+    # every grid table and the identity, each followed by every translation
     cells = canonical_cells(m, n)
-    tables = _symmetries(m, n, wrap=True)
+    point = [tuple(range(m * n))] + _symmetries(m, n)
+    tables = [_moved(q, dx, dy, m, n) for dy in range(n) for dx in range(m) for q in point][1:]
     neighbours = [
         (p, s)
         for p, u in enumerate(cells)

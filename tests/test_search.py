@@ -5,7 +5,7 @@ from pathlib import Path
 import subprocess
 import sys
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -26,11 +26,12 @@ from pgrid import (
 )
 from pgrid import search
 from pgrid.engine import closure_mask
-from pgrid.grid import Shifts, _symmetries
+from pgrid.grid import Shifts
 from pgrid.search import _fixed_polyominoes, _low_perimeter_pollutions, _Orbits
 
 from oracles import (
     canonical_cells,
+    mask_of_cells,
     naive_fixed_polyominoes,
     naive_min_percolating,
     naive_perimeter,
@@ -291,6 +292,12 @@ MIDSIZE_SYMMETRIC_BOARDS = [
 
 
 @given(case=symmetric_instances(MIDSIZE_SYMMETRIC_BOARDS))
+# pollutions periodic under a translation, whose search uses none of the maps
+# that move the first polluted cell
+@example(case=(PollutedInstance.of(torus(6, 4), [(1, 1), (4, 1), (1, 3), (4, 3)]), 2))
+@example(case=(PollutedInstance.of(torus(5, 5), [(i, i) for i in range(1, 6)]), 2))
+@example(case=(PollutedInstance.of(torus(6, 6), [(1, 1), (4, 4)]), 2))
+@example(case=(PollutedInstance.of(torus(6, 6), [(1, 1), (4, 1), (1, 4), (4, 4)]), 2))
 @settings(max_examples=60, deadline=None)
 def test_symmetric_pollutions_match_the_plain_search(case):
     instance, r = case
@@ -298,38 +305,51 @@ def test_symmetric_pollutions_match_the_plain_search(case):
     assert (result.size, result.witness.mask) == _plain_search(instance, r)
 
 
-@pytest.mark.parametrize(
-    "topology,m,n,polluted",
-    [
-        ("grid", 5, 5, []),
-        ("grid", 4, 4, [(2, 2), (3, 3)]),
-        ("grid", 1, 6, [(1, 1), (1, 6)]),
-        ("torus", 4, 4, []),
-        ("torus", 5, 3, []),
-        ("torus", 6, 4, [(1, 1), (4, 1), (1, 3), (4, 3)]),
-        ("torus", 5, 5, [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)]),
-        ("torus", 4, 5, [(1, 1), (2, 1), (3, 4)]),
-    ],
-)
+# grids and polluted tori (the 4x5 torus keeps only the identity), then every
+# torus with sides 3 to 6, clean and with one polluted cell, which checks _moved
+GROUP_CASES = [
+    ("grid", 5, 5, []),
+    ("grid", 4, 4, [(2, 2), (3, 3)]),
+    ("grid", 1, 6, [(1, 1), (1, 6)]),
+    ("torus", 4, 4, []),
+    ("torus", 5, 3, []),
+    ("torus", 6, 4, [(1, 1), (4, 1), (1, 3), (4, 3)]),
+    ("torus", 5, 5, [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)]),
+    ("torus", 4, 5, [(1, 1), (2, 1), (3, 4)]),
+] + [
+    ("torus", m, n, polluted)
+    for m in range(3, 7)
+    for n in range(3, 7)
+    for polluted in ([], [(2, 1)])
+    if (m, n, polluted) not in ((4, 4, []), (5, 3, []))
+]
+
+
+@pytest.mark.parametrize("topology,m,n,polluted", GROUP_CASES)
 def test_symmetry_group_is_the_maps_that_keep_the_pollution(topology, m, n, polluted):
+    # the naive maps that keep the pollution and, on a torus, fix the anchor:
+    # the first polluted cell, or cell 0 on a clean torus
     spec = grid(m, n) if topology == "grid" else torus(m, n)
-    blocked = PollutedInstance.of(spec, polluted).polluted.mask
-    sym = search._Symmetry(Shifts.of(spec), blocked)
-    kept = [
-        q
-        for q in _symmetries(m, n, wrap=topology == "torus")
-        if sum(1 << q[p] for p in range(m * n) if blocked >> p & 1) == blocked
-    ]
+    cells = canonical_cells(m, n)
+    blocked = sorted(map(cells.index, polluted))
+    anchor = blocked[0] if blocked else 0
+    kept = set()
+    for g in naive_symmetries(m, n, topology):
+        q = tuple(cells.index(g[c]) for c in cells)
+        if sorted(q[p] for p in blocked) == blocked and (topology == "grid" or q[anchor] == anchor):
+            kept.add(q)
+    kept.discard(tuple(range(m * n)))
+    group = search._group(Shifts.of(spec), mask_of_cells(m, n, polluted))
+    if not kept:
+        assert group is None
+        return
+    mask, maps = group
+    assert len(maps) == len(kept) and set(maps) == kept
     if topology == "torus" and not polluted:
-        assert sym.maps is None  # every map keeps a clean torus's pollution
+        # the translations take cell 0 to every cell: one orbit
+        assert mask == 1
     else:
-        assert len(sym.maps) == len(kept)
-    assert sym.least == sum(1 << p for p in range(m * n) if all(q[p] >= p for q in kept))
-    for p in range(m * n):
-        mask, fixing = sym.fixing(p)
-        assert set(fixing) == {q for q in kept if q[p] == p}
-        least = sum(1 << c for c in range(m * n) if all(q[c] >= c for q in fixing))
-        assert mask & (1 << m * n) - 1 == least
+        assert mask == sum(1 << p for p in range(m * n) if all(q[p] >= p for q in kept))
 
 
 def test_searches_that_succeed_at_their_start_bound_build_no_group(monkeypatch):
