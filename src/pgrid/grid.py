@@ -164,13 +164,19 @@ class Shifts(NamedTuple):
         return 0
 
     def perimeter(self, x: int) -> int:
-        """Perimeter of the cells of ``x`` as unit squares: 4c - 2e, e the grid edges inside."""
+        """Sides of the cells of ``x`` that face no cell of ``x``: 4c - 2e, e the edges inside.
+
+        Board edges are exposed; on a torus the wrap edges count as shared.
+        """
         shared = (x & x >> 1 & self.not_last).bit_count() + (x & x >> self.m).bit_count()
+        if self.wrap:
+            shared += (x & x >> (self.m - 1) & self.first).bit_count()
+            shared += (x & x >> (self.size - self.m)).bit_count()
         return 4 * x.bit_count() - 2 * shared
 
-    def perimeter_floor(self, x: int) -> int:
-        """ceil(perimeter / 4): no fewer seeds percolate the residual ``x`` with r = 2."""
-        return (self.perimeter(x) + 3) // 4
+    def seed_floor(self, x: int, r: int) -> int:
+        """ceil(phi_r / 2r), phi_r = perimeter + (2r - 4)|x|: no fewer seeds percolate ``x``."""
+        return (self.perimeter(x) + (2 * r - 4) * x.bit_count() + 2 * r - 1) // (2 * r)
 
 
 @dataclass(frozen=True)

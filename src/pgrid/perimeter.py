@@ -76,4 +76,4 @@ def perimeter_lower_bound(instance: PollutedInstance) -> int:
     """ceil(perimeter(residual)/4): no fewer seeds can ever percolate with r=2."""
     if instance.spec.topology is not Topology.GRID:
         raise UnsupportedTopologyError("perimeter bound needs a planar embedding")
-    return Shifts.of(instance.spec).perimeter_floor(instance.residual.mask)
+    return Shifts.of(instance.spec).seed_floor(instance.residual.mask, 2)

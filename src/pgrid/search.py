@@ -1,7 +1,7 @@
 """Brute-force oracles: ground truth for every closed-form value.
 
 Minimum percolating sets come from iterative deepening on the seed count,
-starting at the perimeter lower bound, with vertices of residual degree
+starting at the potential lower bound below, with vertices of residual degree
 below r forced into every candidate (nothing can ever infect them).
 
 Each seed size s is one depth-first search over the free cells, choosing
@@ -19,11 +19,22 @@ least minimum-size set, and results are identical run to run.
   The test is skipped at the node's first child, where it repeats the test
   that admitted the node, and where the children are leaves, where it costs
   as much as the leaf it would save.
-- Perimeter-gap prune (r = 2 on grids).  A cell that joins the infected
-  set has at least two infected neighbors, so no round of closure raises
-  the perimeter, while one more seed raises it by at most 4.  A node whose
-  seeds' closure has perimeter p, with k seeds still to choose, can reach
-  at most perimeter p + 4k, so it is cut when that is below the residual's.
+- Gap prune (any r >= 2 and topology).  Let P(S) count the sides of the
+  cells of S that face no cell of S: board edges and polluted cells are
+  exposed, and on a torus the wrap edges are shared.  Let the potential be
+  phi_r(S) = P(S) + (2r - 4)|S|.  A cell that joins with a >= r infected
+  neighbors changes phi_r by 4 - 2a + 2r - 4 <= 0; the cells that join in
+  one round can be added one at a time, each with at least r infected
+  neighbors, so no round raises phi_r.  One seed raises it by at most 2r.
+  So every percolating set has at least ceil(phi_r(residual) / 2r) seeds,
+  the start bound for every r (at r = 2 it is ceil(P / 4)), and a node whose
+  seeds' closure C still has k seeds to choose is cut when
+  phi_r(C) + 2rk < phi_r(residual).  For r >= 2, phi_r >= 0 and k >= 1, so
+  the prune is off wherever phi_r(residual) <= 2r, where it could cut nothing
+  (a clean torus, or a torus with one polluted cell at r = 2), and at r = 1.
+  Each admitted node keeps its closure, and its suffix tests, children and
+  leaves close that closure plus their cells, since closure(A | B) =
+  closure(closure(A) | B): the same closures, in fewer rounds.
 - Symmetry rule (``min_percolating_exact``, once a level has failed).  G is
   any group of board maps that send the pollution onto itself; they send the
   forced cells, and so the free ones, onto themselves as well.  A node may
@@ -54,12 +65,14 @@ The pollution sweeps behind ``mkmin_exact`` and ``mkmax_exact`` search one
 pollution per orbit of the grid's reflections and rotations, since those
 maps preserve the percolation number.  Their values are those of the full
 sweep; their budgets count only the closures of the pollutions searched.
-For r = 2, ``mkmin_exact`` skips every pollution whose residual perimeter
-rules out beating its best so far, and does not list them either: a
-depth-first walk over the cells, in index order, cuts each branch whose
-perimeter, counted so far plus a bound on what the undecided cells must
-add, exceeds that limit.  Nothing else changes, so the searched pollutions,
-the values and the budget counts are those of the plain listing.
+Every residual of one ``mkmin_exact`` sweep has the same size t, so its
+start bound ceil(phi_r / 2r) beats the best b so far exactly when its
+perimeter is at most 2r(b - 1) - (2r - 4)t.  The sweep skips every other
+pollution, and does not list them either: a depth-first walk over the
+cells, in index order, cuts each branch whose perimeter, counted so far
+plus a bound on what the undecided cells must add, exceeds that limit.
+Nothing else changes, so the searched pollutions, the values and the budget
+counts are those of the plain listing.
 
 Polyominoes come from Redelmeier's walk on one bitmask: each is rooted at
 its first cell, mid-way along the top row of a (2t - 1) x t board that holds
@@ -80,7 +93,6 @@ from .grid import (
     CellSet,
     PollutedInstance,
     Shifts,
-    Topology,
     _mask_of,
     _moved,
     _set_bits,
@@ -219,7 +231,10 @@ def _min_search(
     suffix = [0] * (len(free) + 1)
     for j in range(len(free) - 1, -1, -1):
         suffix[j] = suffix[j + 1] | free[j]
-    target = shifts.perimeter(residual) if r == 2 and not shifts.wrap else None
+    # phi_r >= 0 for r >= 2, so no node is cut unless phi_r(residual) > 2r
+    target = shifts.perimeter(residual) + (2 * r - 4) * t
+    if r < 2 or target <= 2 * r:
+        target = None
     group = None
     for s in range(lo, hi + 1):
         if s > lo and symmetric:
@@ -257,30 +272,41 @@ def _level_search(
 
     A node is a partial seed with ``k`` cells left to choose; its child ``j``
     adds ``free[j]``, for ascending j above the last cell the node holds.
-    ``target`` is the residual's perimeter where the perimeter-gap prune
-    applies, else None.  With ``group``, a child must be a cell that the maps
-    of ``group`` fixing every cell the node chose send to no lower index.
+    ``target`` is the residual's phi_r where the gap prune applies, else
+    None.  With ``group``, a child must be a cell that the maps of ``group``
+    fixing every cell the node chose send to no lower index.
     """
     closure = closure_mask
+    perimeter = shifts.perimeter
     last = len(free)
+    # phi_r = perimeter + weight * cells, and one seed raises it by at most reach
+    weight = 2 * r - 4
+    reach = 2 * r
 
-    def gap_cut(seed: int, k: int) -> bool:
+    def gap_cut(seed: int, k: int) -> int | None:
+        """The closure of ``seed``, or None when ``k`` more seeds cannot reach ``target``."""
         bud.tick()
-        if shifts.perimeter(closure(shifts, blocked, seed, r)) + 4 * k < target:
+        grown = closure(shifts, blocked, seed, r)
+        phi = perimeter(grown) + weight * grown.bit_count() if weight else perimeter(grown)
+        if phi + reach * k < target:
             bud.perimeter_prunes += 1
-            return True
-        return False
+            return None
+        return grown
 
     if need == 0:
         bud.tick()
         return forced if closure(shifts, blocked, forced, r) == residual else None
-    if target is not None and gap_cut(forced, need):
+    base = forced if target is None else gap_cut(forced, need)
+    if base is None:
         return None
     # the node at depth d is seeds[d] and nexts[d] is its next child; its
     # first child is 0 at the root and else its parent's next, nexts[d - 1];
-    # with group, stabs[d] is the _stabilizer of its maps that fix the cells
-    # the node chose, the group itself at the root
+    # bases[d] is a set between seeds[d] and its closure, so closing it with
+    # more cells gives what closing seeds[d] with them would; with group,
+    # stabs[d] is the _stabilizer of its maps that fix the cells the node
+    # chose, the group itself at the root
     seeds = [forced]
+    bases = [base]
     nexts = [0]
     stabs = None if group is None else [group]
     while nexts:
@@ -289,6 +315,7 @@ def _level_search(
         j = nexts[d]
         if j > last - k:
             seeds.pop()
+            bases.pop()
             nexts.pop()
             if stabs:
                 stabs.pop()
@@ -297,22 +324,25 @@ def _level_search(
         if stabs and not free[j] & stabs[d][0]:
             bud.symmetry_prunes += 1
             continue
-        seed = seeds[d]
+        base = bases[d]
         if k == 1:
             bud.tick()
-            if closure(shifts, blocked, seed | free[j], r) == residual:
-                return seed | free[j]
+            if closure(shifts, blocked, base | free[j], r) == residual:
+                return seeds[d] | free[j]
             continue
         if j > (nexts[d - 1] if d else 0):
             bud.tick()
-            if closure(shifts, blocked, seed | suffix[j], r) != residual:
+            if closure(shifts, blocked, base | suffix[j], r) != residual:
                 bud.suffix_prunes += 1
                 nexts[d] = last  # no child left: the next pass pops the node
                 continue
-        child = seed | free[j]
-        if target is not None and gap_cut(child, k - 1):
-            continue
-        seeds.append(child)
+        base |= free[j]
+        if target is not None:
+            base = gap_cut(base, k - 1)
+            if base is None:
+                continue
+        seeds.append(seeds[d] | free[j])
+        bases.append(base)
         nexts.append(j + 1)
         if stabs:
             v = free[j].bit_length() - 1
@@ -331,7 +361,7 @@ def min_percolating_exact(
     if residual == 0:
         return SearchResult(0, CellSet(spec), 0)
     shifts = Shifts.of(spec)
-    s0 = shifts.perimeter_floor(residual) if spec.topology is Topology.GRID and r == 2 else 1
+    s0 = shifts.seed_floor(residual, r)
     bud = _Budget(budget)
     try:
         size, witness_mask = _min_search(
@@ -376,31 +406,25 @@ def _sweep_setup(m: int, n: int, k: int, r: int):
 def _pollutions(shifts: Shifts, k: int, r: int):
     """Every k-cell pollution in lexicographic order, as (cells, mask, residual, start bound).
 
-    The start bound is the residual's perimeter floor for r = 2, and else the
-    number of healthy cells with fewer than r healthy neighbors, which every
-    percolating set must contain.  ``mkmax_exact`` searches them all, and so
-    does ``mkmin_exact`` for r != 2; its r = 2 sweep lists only those that can
-    beat its best, through :func:`_low_perimeter_pollutions`.
+    The start bound is the residual's :meth:`Shifts.seed_floor`.  Only
+    ``mkmax_exact`` searches them all; ``mkmin_exact`` lists just those that
+    can beat its best, through :func:`_low_perimeter_pollutions`.
     """
     for combo in combinations(range(shifts.size), k):
         amask = 0
         for v in combo:
             amask |= 1 << v
         residual = shifts.full ^ amask
-        if r == 2:
-            s0 = shifts.perimeter_floor(residual)
-        else:
-            s0 = (residual & ~shifts.at_least(residual, r)).bit_count()
-        yield combo, amask, residual, s0
+        yield combo, amask, residual, shifts.seed_floor(residual, r)
 
 
 def _low_perimeter_pollutions(shifts: Shifts, k: int, limit: list[int]):
     """The k-cell pollutions of a grid whose residual perimeter is at most ``limit[0]``.
 
-    Yields what :func:`_pollutions` yields for r = 2, in the same order, less
-    each pollution whose residual perimeter exceeds ``limit[0]`` when the walk
-    reaches it.  The limit is read at every step, so the caller may lower it
-    during the walk.
+    Yields (cells, mask, residual, residual perimeter) in the order of
+    :func:`_pollutions`, less each pollution whose residual perimeter exceeds
+    ``limit[0]`` when the walk reaches it.  The limit is read at every step,
+    so the caller may lower it during the walk.
 
     The walk decides the cells in index order, polluted before healthy.  A
     decided cell settles its edges to its left and upper neighbours and its
@@ -431,7 +455,7 @@ def _low_perimeter_pollutions(shifts: Shifts, k: int, limit: list[int]):
                 # through a list: a tuple grown from an iterator is resized, which
                 # strands its block on another size's free list, and a long sweep
                 # fills those lists with thousands of tuples (peak RSS +2 MiB)
-                yield tuple(list(_set_bits(amask))), amask, residual, (perimeter + 3) // 4
+                yield tuple(list(_set_bits(amask))), amask, residual, perimeter
             continue
         col = p % m
         west = col > 0 and healthy >> (p - 1) & 1
@@ -487,35 +511,36 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     """Exact best case over pollution: min over all |A| = k of m(G - A, r).
 
     One pollution is searched per orbit of the grid's symmetries, and none
-    whose start bound is no better than the best so far.  For r = 2 that bound
-    is ceil(perimeter / 4), so once the best is b only residuals of perimeter
-    at most 4(b - 1) can beat it, and only those are listed.  The value is
-    that of the full sweep; ``budget`` counts the closures of the searches
-    made.
+    whose start bound is no better than the best so far.  That bound is
+    ceil(phi_r / 2r) with phi_r = perimeter + (2r - 4)t, and every residual
+    has t = mn - k cells, so once the best is b only residuals of perimeter
+    at most 2r(b - 1) - (2r - 4)t can beat it, and only those are listed.  The
+    value is that of the full sweep; ``budget`` counts the closures of the
+    searches made.
     """
     spec, shifts = _sweep_setup(m, n, k, r)
     t = spec.size - k
     if t == 0:
         return 0
-    floor = (min_perimeter(t) + 3) // 4 if r == 2 else 1
+    reach = 2 * r
+    # ceil((perimeter + (2r - 4)t) / 2r) is (perimeter + pad) // reach
+    pad = (reach - 4) * t + reach - 1
+    floor = max(1, (min_perimeter(t) + pad) // reach)
     bud = _Budget(budget)
     orbits = _Orbits(m, n)
     best: int | None = None
     limit = [4 * spec.size]
-    if r == 2:
-        pollutions = _low_perimeter_pollutions(shifts, k, limit)
-    else:
-        pollutions = _pollutions(shifts, k, r)
     try:
-        for combo, amask, residual, s0 in pollutions:
-            if best is not None and (s0 >= best or not orbits.least(combo)):
+        for combo, amask, residual, perimeter in _low_perimeter_pollutions(shifts, k, limit):
+            # the walk yields only residuals whose start bound is below best
+            if best is not None and not orbits.least(combo):
                 continue
             cap = None if best is None else best - 1
-            size, _ = _min_search(shifts, amask, residual, r, s0, cap, bud)
+            size, _ = _min_search(shifts, amask, residual, r, (perimeter + pad) // reach, cap, bud)
             if size is not None and (best is None or size < best):
                 best = size
-                # a residual of perimeter above 4(best - 1) needs best seeds or more
-                limit[0] = 4 * (best - 1)
+                # a residual of perimeter above this needs best seeds or more
+                limit[0] = reach * (best - 1) - (reach - 4) * t
                 if best <= floor:
                     break
     except _OutOfBudget:

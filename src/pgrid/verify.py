@@ -202,7 +202,7 @@ def verify_theorem1(max_mn_exhaustive: int, max_mn_construction: int) -> SuiteRe
                 witness = construct_extremal(m, n, k)
                 actual = len(witness.seeds)
                 ok = actual == expected
-                bound = shifts.perimeter_floor(witness.instance.residual.mask)
+                bound = shifts.seed_floor(witness.instance.residual.mask, 2)
                 if bound > expected:
                     ok = False
                     note = f"perimeter bound {bound} exceeds the formula value"

@@ -169,6 +169,18 @@ def naive_perimeter(cells) -> int:
     return exposed
 
 
+def naive_exposed_sides(m: int, n: int, topology: str, cells) -> int:
+    """Four sides per cell, less two for each adjacent pair of cells in the set.
+
+    Adjacency comes from :func:`naive_adjacent`, so on a torus the wrap edges
+    count as shared, while board edges and sides facing cells outside the set
+    stay exposed.
+    """
+    shape = sorted(set(cells))
+    pairs = sum(1 for u, v in combinations(shape, 2) if naive_adjacent(m, n, topology, u, v))
+    return 4 * len(shape) - 2 * pairs
+
+
 def naive_fixed_polyominoes(t: int) -> set[frozenset[tuple[int, int]]]:
     """Every polyomino of t cells up to translation, grown one cell at a time
     and translated so that its least x and least y are 0."""

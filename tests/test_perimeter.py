@@ -147,6 +147,39 @@ def test_mask_perimeter_matches_exposed_side_count(shape, data):
     mask = oracles.mask_of_cells(m, n, residual)
     naive = oracles.naive_perimeter(residual)
     assert Shifts.of(spec).perimeter(mask) == naive
-    assert Shifts.of(spec).perimeter_floor(mask) == -(-naive // 4)
+    assert Shifts.of(spec).seed_floor(mask, 2) == -(-naive // 4)
     instance = PollutedInstance.of(spec, [c for c in cells if c not in residual])
     assert perimeter_lower_bound(instance) == -(-naive // 4)
+
+
+@st.composite
+def polluted_boards(draw):
+    """A grid or torus with sides 3 to 7, a pollution, and a cell set off it."""
+    topology = draw(st.sampled_from(["grid", "torus"]))
+    m, n = draw(st.integers(3, 7)), draw(st.integers(3, 7))
+    cells = oracles.canonical_cells(m, n)
+    polluted = draw(st.sets(st.sampled_from(cells), max_size=4))
+    chosen = draw(st.sets(st.sampled_from([c for c in cells if c not in polluted])))
+    return topology, m, n, polluted, chosen
+
+
+@given(board=polluted_boards())
+def test_mask_perimeter_counts_wrap_edges_as_shared(board):
+    topology, m, n, _, cells = board
+    spec = grid(m, n) if topology == "grid" else torus(m, n)
+    mask = oracles.mask_of_cells(m, n, cells)
+    assert Shifts.of(spec).perimeter(mask) == oracles.naive_exposed_sides(m, n, topology, cells)
+
+
+@given(board=polluted_boards(), r=st.integers(1, 4))
+def test_potential_never_rises_over_a_round(board, r):
+    # phi_r = exposed sides + (2r - 4) cells: a cell that joins with a >= r
+    # infected neighbors changes it by 2r - 2a <= 0
+    topology, m, n, polluted, seeds = board
+    infected = set()
+    potentials = []
+    for joining in oracles.naive_rounds(m, n, topology, polluted, seeds, r):
+        infected |= joining
+        exposed = oracles.naive_exposed_sides(m, n, topology, infected)
+        potentials.append(exposed + (2 * r - 4) * len(infected))
+    assert potentials == sorted(potentials, reverse=True)

@@ -123,11 +123,15 @@ def test_min_percolating_is_deterministic():
         (grid(6, 5), 2, 6, 34, 0x100102B),
         # without symmetry breaking the tori take 2,259 and 3,030 closures
         (torus(5, 5), 2, 4, 368, 0x8105),
-        (torus(4, 4), 3, 6, 1213, 0x8525),
+        # without the phi_3 start bound and gap prune: 1,213 closures
+        (torus(4, 4), 3, 6, 395, 0x8525),
         (grid(3, 3), 4, 8, 1, 0x1EF),
         (grid(2, 2), 5, 4, 1, 0xF),
         # trying every 7-set in order takes 93,689 closures
         (grid(7, 6), 2, 7, 53, 0x80020202B),
+        # without the phi_3 start bound and gap prune: 161,662 and 64,554
+        (grid(6, 5), 3, 15, 420, 0x2D4A542F),
+        (torus(5, 5), 3, 9, 823, 0x102C88B),
     ],
 )
 def test_min_percolating_search_order_is_frozen(spec, r, size, nodes, witness_mask):
@@ -210,6 +214,15 @@ def test_min_percolating_rejects_bad_threshold_and_budget():
         min_percolating_exact(instance, budget=0)
 
 
+@given(case=tiny_instances())
+@settings(max_examples=120, deadline=None)
+def test_start_bound_is_at_most_the_naive_minimum(case):
+    spec, polluted, r = case
+    result = min_percolating_exact(PollutedInstance.of(spec, polluted), r=r)
+    expected_size, _ = naive_min_percolating(spec.m, spec.n, spec.topology.value, polluted, r)
+    assert result.start_bound <= expected_size
+
+
 def test_min_percolating_budget_error_carries_bounds():
     instance = PollutedInstance.of(grid(3, 3), [])
     with pytest.raises(BudgetExceededError) as exc:
@@ -279,7 +292,7 @@ def _plain_search(instance, r):
     residual = instance.residual.mask
     if not residual:
         return 0, 0
-    s0 = shifts.perimeter_floor(residual) if r == 2 and not shifts.wrap else 1
+    s0 = shifts.seed_floor(residual, r)
     bud = search._Budget(10**6)
     return search._min_search(shifts, instance.polluted.mask, residual, r, s0, None, bud)
 
@@ -440,10 +453,10 @@ def test_low_perimeter_pollutions_match_naive_perimeter():
             for limit in limits + (4 * m * n,):
                 got = list(_low_perimeter_pollutions(shifts, k, [limit]))
                 assert [g[0] for g in got] == [c for c, per in perimeters.items() if per <= limit]
-                for combo, amask, residual, s0 in got:
+                for combo, amask, residual, perimeter in got:
                     assert amask == sum(1 << p for p in combo)
                     assert residual == (1 << m * n) - 1 - amask
-                    assert s0 == (perimeters[combo] + 3) // 4
+                    assert perimeter == perimeters[combo]
 
 
 @pytest.mark.parametrize(
@@ -480,6 +493,17 @@ def test_mkmin_exact_budget_error_carries_bounds():
     err = exc.value
     assert err.lower_bound == 3
     assert err.upper_bound == 8
+    # ceil((min_perimeter(30) + 2 * 30) / 6) = 14; the r = 3 floor was 1
+    with pytest.raises(BudgetExceededError) as exc:
+        mkmin_exact(6, 5, 0, 3, budget=1)
+    assert (exc.value.nodes, exc.value.lower_bound, exc.value.upper_bound) == (2, 14, 30)
+
+
+def test_mkmin_exact_r3_row_is_frozen():
+    # listing every pollution took ~40 s; the phi_3 walk lists only those
+    # that can beat the best so far
+    expected = [13, 12, 11, 11, 10, 10, 9, 9, 9, 8, 8, 8, 7, 7, 6, 5, 5, 5, 4, 4, 3, 3, 2, 1, 0]
+    assert [mkmin_exact(6, 4, k, 3) for k in range(25)] == expected
 
 
 # mkmin_exact under the budgets 1, 3, 10 and 30: (nodes, lower_bound,
