@@ -5,8 +5,8 @@ starting at the potential lower bound below, with vertices of residual degree
 below r forced into every candidate (nothing can ever infect them).
 
 Each seed size s is one depth-first search over the free cells, choosing
-them in ascending canonical index: the leaves are met in the order
-``itertools.combinations`` yields them, and each leaf costs one closure.
+them in ascending canonical index: the leaves, sorted index tuples, are met
+in lexicographic order, and each leaf costs one closure.
 Two prunes cut only subtrees that hold no percolating set of size s, and a
 symmetry rule cuts only subtrees that cannot hold the least percolating set,
 so the first percolating leaf, the reported witness, is the lexicographically
@@ -35,7 +35,7 @@ least minimum-size set, and results are identical run to run.
   Each admitted node keeps its closure, and its suffix tests, children and
   leaves close that closure plus their cells, since closure(A | B) =
   closure(closure(A) | B): the same closures, in fewer rounds.
-- Symmetry rule (``min_percolating_exact``, once a level has failed).  G is
+- Symmetry rule (every search, once a level has failed).  G is
   any group of board maps that send the pollution onto itself; they send the
   forced cells, and so the free ones, onto themselves as well.  A node may
   add only a cell that no map of G fixing every cell it chose sends to a
@@ -52,8 +52,8 @@ least minimum-size set, and results are identical run to run.
   maps: the translations take cell 0 to every cell, so the root may add
   cell 0 alone, and below it only the maps that fix cell 0 remain.  The
   group is built only when a level fails, so a search that succeeds at its
-  start bound pays nothing for it.  ``mkmin_exact`` and ``mkmax_exact`` do
-  without: they already search one pollution per orbit.
+  start bound pays nothing for it.  In the sweeps below, G holds the maps
+  that send the one pollution searched onto itself, and most have none.
 
 The search keeps its path on an explicit stack, so deep levels (a 1 x 2000
 path needs 1,001 seeds) never meet the recursion limit.  All oracles share
@@ -65,14 +65,19 @@ The pollution sweeps behind ``mkmin_exact`` and ``mkmax_exact`` search one
 pollution per orbit of the grid's reflections and rotations, since those
 maps preserve the percolation number.  Their values are those of the full
 sweep; their budgets count only the closures of the pollutions searched.
-Every residual of one ``mkmin_exact`` sweep has the same size t, so its
-start bound ceil(phi_r / 2r) beats the best b so far exactly when its
-perimeter is at most 2r(b - 1) - (2r - 4)t.  The sweep skips every other
-pollution, and does not list them either: a depth-first walk over the
-cells, in index order, cuts each branch whose perimeter, counted so far
-plus a bound on what the undecided cells must add, exceeds that limit.
-Nothing else changes, so the searched pollutions, the values and the budget
-counts are those of the plain listing.
+One walk lists the pollutions of both: a depth-first walk over the cells,
+in index order, that yields them in lexicographic order and cuts each
+branch whose residual perimeter, counted so far plus a bound on what the
+undecided cells must add, exceeds a limit the caller may lower as it goes.
+The bound is worked out only where it could cut: while the count plus
+2(rows + m), an upper bound on it over the undecided rows, is within the
+limit, the branch is kept at once.  ``mkmax_exact`` needs every pollution
+and sets the limit to 4mn, which cuts nothing.  Every residual of one
+``mkmin_exact`` sweep has the same size t, so its start bound
+ceil(phi_r / 2r) beats the best b so far exactly when its perimeter is at
+most 2r(b - 1) - (2r - 4)t, and that is its limit.  Nothing else changes,
+so the searched pollutions, the values and the budget counts are those of
+the plain listing.
 
 Polyominoes come from Redelmeier's walk on one bitmask: each is rooted at
 its first cell, mid-way along the top row of a (2t - 1) x t board that holds
@@ -83,7 +88,6 @@ it may grow by and the cells offered on its path, none offered twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from operator import eq
 from typing import Iterator
 
@@ -202,86 +206,43 @@ def _group(shifts: Shifts, blocked: int) -> _Stabilizer | None:
 
 
 def _min_search(
-    shifts: Shifts,
-    blocked: int,
-    residual: int,
-    r: int,
-    s0: int,
-    cap: int | None,
-    bud: _Budget,
-    symmetric: bool = False,
+    shifts: Shifts, blocked: int, residual: int, r: int, cap: int | None, bud: _Budget
 ) -> tuple[int | None, int | None]:
     """Smallest percolating seed set for one instance, or None if above cap.
 
-    With ``symmetric`` set, the levels after the first search only canonical
-    seeds under the maps of :func:`_group`, which the root holds as tables.
+    The seed sizes run up from the start bound: ceil(phi_r / 2r), which is
+    :meth:`Shifts.seed_floor`, or the forced count or 1 if larger.  Each is one
+    depth-first search over the free cells ``free`` in lexicographic order: a
+    node is a partial seed with ``k`` cells left to choose, and its child
+    ``j`` adds ``free[j]``, for ascending j above the last cell the node
+    holds.  After the first level, a child must also be a cell that the maps
+    of :func:`_group` fixing every cell the node chose send to no lower index.
     """
+    closure = closure_mask
+    perimeter = shifts.perimeter
     t = residual.bit_count()
     forced = residual & ~shifts.at_least(residual, r)
-    hi = t if cap is None else min(cap, t)
     n_forced = forced.bit_count()
-    lo = max(s0, n_forced, 1)
+    # phi_r = perimeter + weight * cells, and one seed raises it by at most reach
+    weight = 2 * r - 4
+    reach = 2 * r
+    target = perimeter(residual) + weight * t
+    lo = max(-(-target // reach), n_forced, 1)
+    hi = t if cap is None else min(cap, t)
     bud.start_bound = lo
     bud.forced = n_forced
     bud.level_nodes = []
     if lo > hi:
         return None, None
     free = [1 << v for v in _set_bits(residual ^ forced)]
+    last = len(free)
     # suffix[j] holds the free cells from j on
-    suffix = [0] * (len(free) + 1)
-    for j in range(len(free) - 1, -1, -1):
+    suffix = [0] * (last + 1)
+    for j in range(last - 1, -1, -1):
         suffix[j] = suffix[j + 1] | free[j]
     # phi_r >= 0 for r >= 2, so no node is cut unless phi_r(residual) > 2r
-    target = shifts.perimeter(residual) + (2 * r - 4) * t
-    if r < 2 or target <= 2 * r:
+    if r < 2 or target <= reach:
         target = None
-    group = None
-    for s in range(lo, hi + 1):
-        if s > lo and symmetric:
-            # built only once a level has failed, so a search that succeeds at
-            # its start bound pays nothing for it
-            symmetric = False
-            group = _group(shifts, blocked)
-        bud.level = s
-        used = bud.used
-        try:
-            seed_mask = _level_search(
-                shifts, blocked, residual, r, forced, free, suffix, s - n_forced, target, group, bud
-            )
-        finally:
-            bud.level_nodes.append(bud.used - used)
-        if seed_mask is not None:
-            return s, seed_mask
-    return None, None
-
-
-def _level_search(
-    shifts: Shifts,
-    blocked: int,
-    residual: int,
-    r: int,
-    forced: int,
-    free: list[int],
-    suffix: list[int],
-    need: int,
-    target: int | None,
-    group: _Stabilizer | None,
-    bud: _Budget,
-) -> int | None:
-    """First percolating ``forced`` plus ``need`` cells of ``free``, in combinations order.
-
-    A node is a partial seed with ``k`` cells left to choose; its child ``j``
-    adds ``free[j]``, for ascending j above the last cell the node holds.
-    ``target`` is the residual's phi_r where the gap prune applies, else
-    None.  With ``group``, a child must be a cell that the maps of ``group``
-    fixing every cell the node chose send to no lower index.
-    """
-    closure = closure_mask
-    perimeter = shifts.perimeter
-    last = len(free)
-    # phi_r = perimeter + weight * cells, and one seed raises it by at most reach
-    weight = 2 * r - 4
-    reach = 2 * r
 
     def gap_cut(seed: int, k: int) -> int | None:
         """The closure of ``seed``, or None when ``k`` more seeds cannot reach ``target``."""
@@ -293,61 +254,75 @@ def _level_search(
             return None
         return grown
 
-    if need == 0:
-        bud.tick()
-        return forced if closure(shifts, blocked, forced, r) == residual else None
-    base = forced if target is None else gap_cut(forced, need)
-    if base is None:
-        return None
-    # the node at depth d is seeds[d] and nexts[d] is its next child; its
-    # first child is 0 at the root and else its parent's next, nexts[d - 1];
-    # bases[d] is a set between seeds[d] and its closure, so closing it with
-    # more cells gives what closing seeds[d] with them would; with group,
-    # stabs[d] is the _stabilizer of its maps that fix the cells the node
-    # chose, the group itself at the root
-    seeds = [forced]
-    bases = [base]
-    nexts = [0]
-    stabs = None if group is None else [group]
-    while nexts:
-        d = len(nexts) - 1
-        k = need - d
-        j = nexts[d]
-        if j > last - k:
-            seeds.pop()
-            bases.pop()
-            nexts.pop()
-            if stabs:
-                stabs.pop()
-            continue
-        nexts[d] = j + 1
-        if stabs and not free[j] & stabs[d][0]:
-            bud.symmetry_prunes += 1
-            continue
-        base = bases[d]
-        if k == 1:
-            bud.tick()
-            if closure(shifts, blocked, base | free[j], r) == residual:
-                return seeds[d] | free[j]
-            continue
-        if j > (nexts[d - 1] if d else 0):
-            bud.tick()
-            if closure(shifts, blocked, base | suffix[j], r) != residual:
-                bud.suffix_prunes += 1
-                nexts[d] = last  # no child left: the next pass pops the node
+    group = None
+    for s in range(lo, hi + 1):
+        if s == lo + 1:
+            # built only once a level has failed, so a search that succeeds at
+            # its start bound pays nothing for it
+            group = _group(shifts, blocked)
+        bud.level = s
+        used = bud.used
+        need = s - n_forced
+        try:
+            if need == 0:
+                bud.tick()
+                if closure(shifts, blocked, forced, r) == residual:
+                    return s, forced
                 continue
-        base |= free[j]
-        if target is not None:
-            base = gap_cut(base, k - 1)
+            base = forced if target is None else gap_cut(forced, need)
             if base is None:
                 continue
-        seeds.append(seeds[d] | free[j])
-        bases.append(base)
-        nexts.append(j + 1)
-        if stabs:
-            v = free[j].bit_length() - 1
-            stabs.append(_stabilizer([q for q in stabs[d][1] if q[v] == v]))
-    return None
+            # the node at depth d is seeds[d] and nexts[d] is its next child;
+            # its first child is 0 at the root and else its parent's next,
+            # nexts[d - 1]; bases[d] is a set between seeds[d] and its closure,
+            # so closing it with more cells gives what closing seeds[d] with
+            # them would; with group, stabs[d] is the _stabilizer of its maps
+            # that fix the cells the node chose, the group itself at the root
+            seeds = [forced]
+            bases = [base]
+            nexts = [0]
+            stabs = None if group is None else [group]
+            while nexts:
+                d = len(nexts) - 1
+                k = need - d
+                j = nexts[d]
+                if j > last - k:
+                    seeds.pop()
+                    bases.pop()
+                    nexts.pop()
+                    if stabs:
+                        stabs.pop()
+                    continue
+                nexts[d] = j + 1
+                if stabs and not free[j] & stabs[d][0]:
+                    bud.symmetry_prunes += 1
+                    continue
+                base = bases[d]
+                if k == 1:
+                    bud.tick()
+                    if closure(shifts, blocked, base | free[j], r) == residual:
+                        return s, seeds[d] | free[j]
+                    continue
+                if j > (nexts[d - 1] if d else 0):
+                    bud.tick()
+                    if closure(shifts, blocked, base | suffix[j], r) != residual:
+                        bud.suffix_prunes += 1
+                        nexts[d] = last  # no child left: the next pass pops the node
+                        continue
+                base |= free[j]
+                if target is not None:
+                    base = gap_cut(base, k - 1)
+                    if base is None:
+                        continue
+                seeds.append(seeds[d] | free[j])
+                bases.append(base)
+                nexts.append(j + 1)
+                if stabs:
+                    v = free[j].bit_length() - 1
+                    stabs.append(_stabilizer([q for q in stabs[d][1] if q[v] == v]))
+        finally:
+            bud.level_nodes.append(bud.used - used)
+    return None, None
 
 
 def min_percolating_exact(
@@ -360,12 +335,10 @@ def min_percolating_exact(
     residual = instance.residual.mask
     if residual == 0:
         return SearchResult(0, CellSet(spec), 0)
-    shifts = Shifts.of(spec)
-    s0 = shifts.seed_floor(residual, r)
     bud = _Budget(budget)
     try:
         size, witness_mask = _min_search(
-            shifts, instance.polluted.mask, residual, r, s0, None, bud, symmetric=True
+            Shifts.of(spec), instance.polluted.mask, residual, r, None, bud
         )
     except _OutOfBudget:
         raise BudgetExceededError(
@@ -403,28 +376,14 @@ def _sweep_setup(m: int, n: int, k: int, r: int):
     return spec, Shifts.of(spec)
 
 
-def _pollutions(shifts: Shifts, k: int, r: int):
-    """Every k-cell pollution in lexicographic order, as (cells, mask, residual, start bound).
-
-    The start bound is the residual's :meth:`Shifts.seed_floor`.  Only
-    ``mkmax_exact`` searches them all; ``mkmin_exact`` lists just those that
-    can beat its best, through :func:`_low_perimeter_pollutions`.
-    """
-    for combo in combinations(range(shifts.size), k):
-        amask = 0
-        for v in combo:
-            amask |= 1 << v
-        residual = shifts.full ^ amask
-        yield combo, amask, residual, shifts.seed_floor(residual, r)
-
-
-def _low_perimeter_pollutions(shifts: Shifts, k: int, limit: list[int]):
+def _pollutions(shifts: Shifts, k: int, limit: list[int]):
     """The k-cell pollutions of a grid whose residual perimeter is at most ``limit[0]``.
 
-    Yields (cells, mask, residual, residual perimeter) in the order of
-    :func:`_pollutions`, less each pollution whose residual perimeter exceeds
-    ``limit[0]`` when the walk reaches it.  The limit is read at every step,
-    so the caller may lower it during the walk.
+    Yields (cells, mask, residual), cells a sorted index tuple, in
+    lexicographic order, less each pollution whose residual perimeter
+    exceeds ``limit[0]`` when the walk reaches it.  The limit is read at every
+    step, so the caller may lower it during the walk; a limit of 4mn cuts
+    nothing.
 
     The walk decides the cells in index order, polluted before healthy.  A
     decided cell settles its edges to its left and upper neighbours and its
@@ -437,9 +396,12 @@ def _low_perimeter_pollutions(shifts: Shifts, k: int, limit: list[int]):
     one more side, unless it meets a decided healthy cell: the one left of the
     next cell, or one of those just above the undecided part.  So at least
     max(R + C, 2(R + C) - covered) sides are still to come, and a branch whose
-    count plus that bound exceeds the limit holds no pollution to yield.  Once
-    all k cells are placed, or every undecided cell must be polluted, the
-    pollution is settled and its perimeter is taken whole.
+    count plus that bound exceeds the limit holds no pollution to yield.  The
+    undecided rows alone fit the h cells, so R + C <= rows + m and the bound
+    is at most 2(rows + m): a branch whose count plus that is within the limit
+    is kept without working the bound out.  Once all k cells are placed, or
+    every undecided cell must be polluted, the pollution is settled and its
+    perimeter is taken whole.
     """
     m, size, full = shifts.m, shifts.size, shifts.full
     bottom = size - m
@@ -449,30 +411,30 @@ def _low_perimeter_pollutions(shifts: Shifts, k: int, limit: list[int]):
         p, healthy, left, counted = stack.pop()
         if left == 0 or left == size - p:
             residual = healthy if left else healthy | full >> p << p
-            perimeter = shifts.perimeter(residual)
-            if perimeter <= limit[0]:
+            if shifts.perimeter(residual) <= limit[0]:
                 amask = full ^ residual
                 # through a list: a tuple grown from an iterator is resized, which
                 # strands its block on another size's free list, and a long sweep
                 # fills those lists with thousands of tuples (peak RSS +2 MiB)
-                yield tuple(list(_set_bits(amask))), amask, residual, perimeter
+                yield tuple(list(_set_bits(amask))), amask, residual
             continue
         col = p % m
         west = col > 0 and healthy >> (p - 1) & 1
-        north = p >= m and healthy >> (p - m) & 1
-        # the fewest rows R plus columns C that the h healthy cells still to
-        # place can span, with at least d of them in the bottom row
-        h = size - p - left
-        d = min(m, size - p) - left
         rows = (size - p + m - 1) // m
-        span = min(r + max(-(-h // r), d) for r in range(-(-h // m), rows + 1))
-        # the decided cells just above the undecided part: the m before p, but
-        # in the last row only those above the columns from p's on
-        lo = max(p - m, 0)
-        hi = p if p < bottom else p - col
-        covered = (healthy >> lo & ((1 << (hi - lo)) - 1)).bit_count() + west
-        if counted + max(span, 2 * span - covered) > limit[0]:
-            continue
+        if counted + 2 * (rows + m) > limit[0]:
+            # the fewest rows R plus columns C that the h healthy cells still
+            # to place can span, with at least d of them in the bottom row
+            h = size - p - left
+            d = min(m, size - p) - left
+            span = min(r + max(-(-h // r), d) for r in range(-(-h // m), rows + 1))
+            # the decided cells just above the undecided part: the m before p,
+            # but in the last row only those above the columns from p's on
+            lo = max(p - m, 0)
+            hi = p if p < bottom else p - col
+            covered = (healthy >> lo & ((1 << (hi - lo)) - 1)).bit_count() + west
+            if counted + max(span, 2 * span - covered) > limit[0]:
+                continue
+        north = p >= m and healthy >> (p - m) & 1
         exposed = (not west) + (not north) + (col == m - 1) + (p >= bottom)
         stack.append((p + 1, healthy | 1 << p, left, counted + exposed))
         stack.append((p + 1, healthy, left - 1, counted + west + north))
@@ -531,12 +493,12 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     best: int | None = None
     limit = [4 * spec.size]
     try:
-        for combo, amask, residual, perimeter in _low_perimeter_pollutions(shifts, k, limit):
+        for combo, amask, residual in _pollutions(shifts, k, limit):
             # the walk yields only residuals whose start bound is below best
             if best is not None and not orbits.least(combo):
                 continue
             cap = None if best is None else best - 1
-            size, _ = _min_search(shifts, amask, residual, r, (perimeter + pad) // reach, cap, bud)
+            size, _ = _min_search(shifts, amask, residual, r, cap, bud)
             if size is not None and (best is None or size < best):
                 best = size
                 # a residual of perimeter above this needs best seeds or more
@@ -569,10 +531,10 @@ def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     orbits = _Orbits(m, n)
     best: int | None = None
     try:
-        for combo, amask, residual, s0 in _pollutions(shifts, k, r):
+        for combo, amask, residual in _pollutions(shifts, k, [4 * spec.size]):
             if best is not None and not orbits.least(combo):
                 continue
-            size, _ = _min_search(shifts, amask, residual, r, s0, None, bud)
+            size, _ = _min_search(shifts, amask, residual, r, None, bud)
             assert size is not None
             if best is None or size > best:
                 best = size

@@ -225,6 +225,8 @@ def verify_theorem1(max_mn_exhaustive: int, max_mn_construction: int) -> SuiteRe
 def verify_monotonicity(max_mn: int) -> SuiteReport:
     """Removing one vertex, or any independent set of up to three vertices,
     never lowers the exact percolation number of a grid."""
+    if max_mn < 4:
+        raise ParameterError("max_mn must be >= 4 (the smallest grid is 2x2)")
     if max_mn > 16:
         raise ParameterError("boards beyond mn = 16 are out of oracle reach")
     rows: list[CheckRow] = [
@@ -352,6 +354,8 @@ def verify_perimeter(max_t: int, trace_samples: int, seed: int = 0) -> SuiteRepo
 def verify_torus_and_max(max_mn: int) -> SuiteReport:
     """Torus formula with single-removal invariance, and the worst-pollution
     lower bound under independent interior pollution."""
+    if max_mn < 9:
+        raise ParameterError("max_mn must be >= 9 (the smallest torus is 3x3)")
     if max_mn > 16:
         raise ParameterError("boards beyond mn = 16 are out of oracle reach")
     rows: list[CheckRow] = []

@@ -211,6 +211,22 @@ def test_verify_bad_limit_is_domain_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "monotonicity", "--max-mn", "3"],
+        ["verify", "monotonicity", "--max-mn", "-3"],
+        ["verify", "torus-max", "--max-mn", "0"],
+        ["verify", "torus-max", "--max-mn", "8"],
+    ],
+)
+def test_verify_limit_that_certifies_nothing_exits_one(argv, capsys):
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "smallest" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_theorem1_beyond_oracle_reach_exits_one_at_once(capsys):
     start = time.perf_counter()
     assert cli.run(["verify", "theorem1", "--max-exhaustive", "61"]) == 1

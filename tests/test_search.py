@@ -27,11 +27,13 @@ from pgrid import (
 from pgrid import search
 from pgrid.engine import closure_mask
 from pgrid.grid import Shifts
-from pgrid.search import _fixed_polyominoes, _low_perimeter_pollutions, _Orbits
+from pgrid.search import _fixed_polyominoes, _Orbits, _pollutions
 
 from oracles import (
     canonical_cells,
     mask_of_cells,
+    naive_adjacent,
+    naive_exposed_sides,
     naive_fixed_polyominoes,
     naive_min_percolating,
     naive_perimeter,
@@ -223,6 +225,37 @@ def test_start_bound_is_at_most_the_naive_minimum(case):
     assert result.start_bound <= expected_size
 
 
+@st.composite
+def residual_instances(draw):
+    """A grid with sides 1 to 6 or a torus with sides 3 to 6, a pollution that
+    leaves at least one cell, and an r in 1..5."""
+    topology = draw(st.sampled_from(["grid", "torus"]))
+    low = 1 if topology == "grid" else 3
+    m, n = draw(st.integers(low, 6)), draw(st.integers(low, 6))
+    cells = canonical_cells(m, n)
+    polluted = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1))
+    return topology, m, n, polluted, draw(st.integers(1, 5))
+
+
+@given(case=residual_instances())
+@settings(max_examples=200, deadline=None)
+def test_start_bound_is_the_potential_or_forced_floor(case):
+    topology, m, n, polluted, r = case
+    residual = [c for c in canonical_cells(m, n) if c not in polluted]
+    t = len(residual)
+    phi = naive_exposed_sides(m, n, topology, residual) + (2 * r - 4) * t
+    forced = sum(
+        1 for v in residual if sum(naive_adjacent(m, n, topology, u, v) for u in residual) < r
+    )
+    spec = grid(m, n) if topology == "grid" else torus(m, n)
+    # the start bound is fixed before the first closure, so one closure shows it
+    try:
+        got = min_percolating_exact(PollutedInstance.of(spec, polluted), r, budget=1).start_bound
+    except BudgetExceededError as exc:
+        got = exc.start_bound
+    assert got == max(-(-phi // (2 * r)), forced, 1)
+
+
 def test_min_percolating_budget_error_carries_bounds():
     instance = PollutedInstance.of(grid(3, 3), [])
     with pytest.raises(BudgetExceededError) as exc:
@@ -292,9 +325,11 @@ def _plain_search(instance, r):
     residual = instance.residual.mask
     if not residual:
         return 0, 0
-    s0 = shifts.seed_floor(residual, r)
     bud = search._Budget(10**6)
-    return search._min_search(shifts, instance.polluted.mask, residual, r, s0, None, bud)
+    # a context rather than the fixture: hypothesis runs many examples per test
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_group", lambda shifts, blocked: None)
+        return search._min_search(shifts, instance.polluted.mask, residual, r, None, bud)
 
 
 # boards whose stabilizers run several cells deep; the plain search stays below 0.1 s
@@ -438,7 +473,7 @@ def test_mkmin_exact_agrees_with_closed_form(m, n):
         assert mkmin_exact(m, n, k) == mkmin(m, n, k)
 
 
-def test_low_perimeter_pollutions_match_naive_perimeter():
+def test_pollutions_match_naive_perimeter():
     # every board of at most 12 cells, one-wide ones included, and every k
     boards = [(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]
     limits = (0, 4, 8, 10, 14, 18)
@@ -451,25 +486,24 @@ def test_low_perimeter_pollutions_match_naive_perimeter():
                 for combo in combinations(range(m * n), k)
             }
             for limit in limits + (4 * m * n,):
-                got = list(_low_perimeter_pollutions(shifts, k, [limit]))
+                got = list(_pollutions(shifts, k, [limit]))
                 assert [g[0] for g in got] == [c for c, per in perimeters.items() if per <= limit]
-                for combo, amask, residual, perimeter in got:
+                for combo, amask, residual in got:
                     assert amask == sum(1 << p for p in combo)
                     assert residual == (1 << m * n) - 1 - amask
-                    assert perimeter == perimeters[combo]
 
 
 @pytest.mark.parametrize(
     "m,n,k,after,lowered", [(4, 3, 4, 5, 12), (3, 4, 6, 40, 10), (12, 1, 5, 30, 18)]
 )
-def test_low_perimeter_pollutions_follow_a_lowered_limit(m, n, k, after, lowered):
+def test_pollutions_follow_a_lowered_limit(m, n, k, after, lowered):
     cells = canonical_cells(m, n)
     combos = list(combinations(range(m * n), k))
     perimeter = {
         combo: naive_perimeter(c for p, c in enumerate(cells) if p not in combo) for combo in combos
     }
     limit = [4 * m * n]
-    walk = _low_perimeter_pollutions(Shifts.of(grid(m, n)), k, limit)
+    walk = _pollutions(Shifts.of(grid(m, n)), k, limit)
     head = [next(walk)[0] for _ in range(after)]
     assert head == combos[:after]
     limit[0] = lowered
@@ -504,6 +538,25 @@ def test_mkmin_exact_r3_row_is_frozen():
     # that can beat the best so far
     expected = [13, 12, 11, 11, 10, 10, 9, 9, 9, 8, 8, 8, 7, 7, 6, 5, 5, 5, 4, 4, 3, 3, 2, 1, 0]
     assert [mkmin_exact(6, 4, k, 3) for k in range(25)] == expected
+
+
+@pytest.mark.parametrize(
+    "oracle,args,closures",
+    [
+        (mkmax_exact, (4, 4, 2), 359),
+        (mkmax_exact, (5, 5, 2), 1_792),
+        (mkmax_exact, (6, 5, 2), 6_330),
+        (mkmin_exact, (6, 4, 0, 3), 1_099),
+        (mkmin_exact, (6, 4, 2, 3), 709),
+    ],
+)
+def test_sweep_closure_counts_are_frozen(oracle, args, closures):
+    # each sweep's exact closure count: the walk lists mkmax_exact's pollutions
+    # in combinations order, and the symmetry rule cuts no closure here
+    oracle(*args, budget=closures)
+    with pytest.raises(BudgetExceededError) as exc:
+        oracle(*args, budget=closures - 1)
+    assert exc.value.nodes == closures
 
 
 # mkmin_exact under the budgets 1, 3, 10 and 30: (nodes, lower_bound,

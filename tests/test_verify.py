@@ -72,6 +72,13 @@ def test_monotonicity_suite_rejects_large_boards():
         verify_monotonicity(17)
 
 
+@pytest.mark.parametrize("max_mn", [3, 0, -3])
+def test_monotonicity_suite_rejects_limits_below_the_smallest_grid(max_mn):
+    # below 4 the suite would pass on its skip row alone
+    with pytest.raises(ParameterError, match="smallest grid is 2x2"):
+        verify_monotonicity(max_mn)
+
+
 def test_monotonicity_passes_at_full_scale():
     assert verify_monotonicity(16).passed
 
@@ -144,6 +151,13 @@ def test_torus_and_max_suite_rows():
 def test_torus_and_max_suite_rejects_large_boards():
     with pytest.raises(ParameterError):
         verify_torus_and_max(17)
+
+
+@pytest.mark.parametrize("max_mn", [8, 0, -1])
+def test_torus_and_max_suite_rejects_limits_below_the_smallest_torus(max_mn):
+    # below 9 the suite would pass with no check at all
+    with pytest.raises(ParameterError, match="smallest torus is 3x3"):
+        verify_torus_and_max(max_mn)
 
 
 def test_rows_are_sorted():
