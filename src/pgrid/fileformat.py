@@ -71,7 +71,9 @@ def parse_instance(text: str) -> tuple[PollutedInstance, CellSet]:
 def write_instance(instance: PollutedInstance, seeds: CellSet | None = None) -> str:
     """Render an instance (and optional seed set) as a pgrid v1 document.
 
-    Linear in the board size: each polluted and seeded cell is painted once.
+    Costs C-level passes over the board (the canvas, the size/8 bytes of each
+    mask and the text rows) plus a Python step per polluted and seeded cell,
+    each painted once.
     """
     spec = instance.spec
     if seeds is None:

@@ -4,8 +4,12 @@ ASCII emits one frame per round.  Within a frame: 'X' polluted, 'o' seed,
 digits 1-9 (then '+') for the round a cell was infected, '.' not yet or
 never infected.  SVG emits the board once with one group per round carrying
 the same information.  Tori are drawn as flat boards with a wrap annotation.
-Both are linear in the output: ASCII paints each round once into one
-canvas and slices every frame from it, and SVG walks each round's mask once.
+ASCII paints each round once into one canvas and slices every frame from
+it, so it is linear in its output.  SVG decodes each round's mask once with
+:func:`grid._set_bits`: one C-level pass over the board's size/8 bytes plus
+a Python step per cell drawn.  Its output is linear in the cells drawn, so
+on a large board a trace of many sparse rounds (the clean 150x150 board has
+298 rounds of ~75 cells) costs rounds x size/8 byte steps beyond its output.
 """
 
 from __future__ import annotations
@@ -50,18 +54,23 @@ def _render_ascii(trace: PercolationTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _svg_rects(m: int, mask: int, fill: str) -> list[str]:
-    return [
-        f'<rect x="{p % m * _CELL_PX}" y="{p // m * _CELL_PX}" '
-        f'width="{_CELL_PX}" height="{_CELL_PX}" fill="{fill}" stroke="#ffffff"/>'
-        for p in _set_bits(mask)
-    ]
-
-
 def _render_svg(trace: PercolationTrace) -> str:
     spec = trace.instance.spec
-    width = spec.m * _CELL_PX
+    m = spec.m
+    width = m * _CELL_PX
     height = spec.n * _CELL_PX
+    # a cell's <rect> joins a piece made once per column, one per row and one
+    # per group, so no number is formatted per cell; pieces per row and fill
+    # would be up to 11n strings, 5.5x the peak memory on a 1 x 2^18 board
+    starts = [f'<rect x="{x}" y="' for x in range(0, width, _CELL_PX)]
+    middles = [
+        f'{y}" width="{_CELL_PX}" height="{_CELL_PX}" fill="' for y in range(0, height, _CELL_PX)
+    ]
+
+    def rects(mask: int, fill: str) -> list[str]:
+        end = f'{fill}" stroke="#ffffff"/>'
+        return [starts[p % m] + middles[p // m] + end for p in _set_bits(mask)]
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -70,12 +79,12 @@ def _render_svg(trace: PercolationTrace) -> str:
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="{_BOARD_FILL}"/>',
     ]
     parts.append('<g id="polluted">')
-    parts += _svg_rects(spec.m, trace.instance.polluted.mask, _POLLUTED_FILL)
+    parts += rects(trace.instance.polluted.mask, _POLLUTED_FILL)
     parts.append("</g>")
     for t, cells in enumerate(trace.rounds):
         fill = _SEED_FILL if t == 0 else _ROUND_FILLS[(t - 1) % len(_ROUND_FILLS)]
         parts.append(f'<g id="round-{t}" data-round="{t}">')
-        parts += _svg_rects(spec.m, cells.mask, fill)
+        parts += rects(cells.mask, fill)
         parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -234,6 +234,23 @@ def test_verify_theorem1_beyond_oracle_reach_exits_one_at_once(capsys):
     assert "out of oracle reach" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "theorem1", "--max-construction", "401"], "beyond mn = 400"),
+        (["verify", "theorem1", "--max-construction", "1000"], "beyond mn = 400"),
+        (["verify", "perimeter", "--trace-samples", "10001"], "trace_samples <= 10000"),
+    ],
+)
+def test_verify_sweep_beyond_its_cap_exits_one_at_once(argv, message, capsys):
+    start = time.perf_counter()
+    assert cli.run(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and message in captured.err
+    assert captured.out == ""
+
+
 def test_render_stdout_and_file(board, tmp_path, capsys):
     assert cli.run(["render", str(board)]) == 0
     out = capsys.readouterr().out

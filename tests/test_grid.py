@@ -16,7 +16,7 @@ from pgrid import (
     neighbors,
     torus,
 )
-from pgrid.grid import MAX_CELLS, _moved, _symmetries
+from pgrid.grid import MAX_CELLS, _moved, _set_bits, _symmetries
 
 from oracles import EDGE_SHAPES, canonical_cells, naive_adjacent, naive_symmetries
 
@@ -140,10 +140,45 @@ def test_cellset_iteration_matches_coordinate_scan(shape, data):
     cells = canonical_cells(m, n)
     bits = data.draw(st.integers(0, (1 << m * n) - 1))
     expected = [c for p, c in enumerate(cells) if bits >> p & 1]
-    assert list(CellSet(grid(m, n), bits)) == expected
+    members = list(CellSet(grid(m, n), bits))
+    # a plain tuple compares equal to a Vertex, so check the type and fields too
+    assert [(v.i, v.j) for v in members] == expected
+    assert all(type(v) is Vertex for v in members)
     assert CellSet.from_vertices(grid(m, n), reversed(expected)).mask == bits
     if m >= 3 and n >= 3:
         assert list(CellSet(torus(m, n), bits)) == expected
+
+
+def _bit_scan(mask):
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [0, 1, 1 << 7, 1 << 8, 1 << 9, 0b1110000000, 0xFF, 0x1FF, (1 << 13) - 1, 1 << 64 | 1, 0xA5 << 40],
+)
+def test_set_bits_examples_match_a_bit_scan(mask):
+    assert list(_set_bits(mask)) == _bit_scan(mask)
+
+
+@given(
+    width=st.integers(1, 300),
+    holes=st.sets(st.integers(0, 299), max_size=12),
+    dense=st.booleans(),
+)
+def test_set_bits_matches_a_bit_scan_on_sparse_and_dense_masks(width, holes, dense):
+    sparse = sum(1 << p for p in holes if p < width)
+    mask = ((1 << width) - 1) ^ sparse if dense else sparse
+    assert list(_set_bits(mask)) == _bit_scan(mask)
+
+
+def test_iteration_reaches_both_corners_of_the_largest_board():
+    spec = grid(1024, 1024)
+    assert spec.size == MAX_CELLS
+    mask = 1 | 1 << (MAX_CELLS - 1)
+    assert list(_set_bits(mask)) == [0, MAX_CELLS - 1]
+    members = list(CellSet(spec, mask))
+    assert [(type(v), v.i, v.j) for v in members] == [(Vertex, 1, 1024), (Vertex, 1024, 1)]
 
 
 def test_cellset_operators():

@@ -148,3 +148,53 @@ def test_svg_rects_match_cells_built_from_coordinates(board):
         for name, body in _GROUP.findall(svg)
     ]
     assert groups == expected
+
+
+def _svg_from_cells(m, n, topology, polluted, rounds, percolated):
+    """The SVG document built cell by cell, each <rect> formatted on its own."""
+    fills = [
+        "#1f77b4", "#2ca02c", "#9467bd", "#e377c2", "#17becf", "#bcbd22", "#ff7f0e", "#8c564b", "#7f7f7f"
+    ]
+    width, height = 20 * m, 20 * n
+    wrap = " (edges wrap)" if topology == "torus" else ""
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f"<desc>{topology} {m}x{n}{wrap}; rounds: {len(rounds) - 1}; "
+        f"percolated: {'true' if percolated else 'false'}</desc>",
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#f2f2f2"/>',
+    ]
+    groups = [('<g id="polluted">', polluted, "#404040")]
+    for t, cells in enumerate(rounds):
+        fill = "#d62728" if t == 0 else fills[(t - 1) % 9]
+        groups.append((f'<g id="round-{t}" data-round="{t}">', cells, fill))
+    for opening, cells, fill in groups:
+        lines.append(opening)
+        for i, j in oracles.canonical_cells(m, n):
+            if (i, j) in cells:
+                x, y = (i - 1) * 20, (n - j) * 20
+                lines.append(
+                    f'<rect x="{x}" y="{y}" width="20" height="20" fill="{fill}" stroke="#ffffff"/>'
+                )
+        lines.append("</g>")
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "m, n, topology, polluted, seeds",
+    [
+        (13, 11, "torus", [(7, 6), (2, 10), (13, 1), (9, 3)], [(1, 1)]),
+        (13, 3, "grid", [(5, 2), (12, 1), (13, 2)], [(1, 1)]),
+        (21, 2, "grid", [(4, 1), (20, 2)], [(1, 2)]),
+    ],
+)
+def test_svg_matches_a_document_built_cell_by_cell(m, n, topology, polluted, seeds):
+    rounds = oracles.naive_rounds(m, n, topology, polluted, seeds, 1)
+    # ten or more rounds after the seeds, so the round fills wrap around
+    assert len(rounds) >= 12
+    healthy = {c for c in oracles.canonical_cells(m, n) if c not in polluted}
+    percolated = set().union(*rounds) == healthy
+    spec = _spec(m, n, topology)
+    trace = percolate(PollutedInstance.of(spec, polluted), CellSet.from_vertices(spec, seeds), 1)
+    assert render_trace(trace, "svg") == _svg_from_cells(m, n, topology, set(polluted), rounds, percolated)

@@ -53,6 +53,30 @@ def test_theorem1_suite_rejects_exhaustive_boards_beyond_oracle_reach():
     assert time.perf_counter() - start < 1.0
 
 
+def test_theorem1_suite_rejects_construction_sweeps_beyond_the_cap(monkeypatch):
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="beyond mn = 400"):
+        verify_theorem1(4, 401)
+    with pytest.raises(ParameterError, match="beyond mn = 400"):
+        verify_theorem1(4, 1000)
+    assert time.perf_counter() - start < 1.0
+    # the cap itself is accepted; the sweep is skipped, as it takes ~13 s
+    monkeypatch.setattr(verify_module, "_grid_shapes", lambda max_mn, min_n=2: [])
+    assert verify_theorem1(4, 400).limits["max_mn_construction"] == 400
+
+
+@pytest.mark.parametrize("min_n", [1, 2, 3])
+def test_grid_shapes_are_every_shape_within_the_limit_in_order(min_n):
+    for max_mn in range(130):
+        expected = [
+            (m, n)
+            for n in range(min_n, max_mn + 1)
+            for m in range(n, max_mn + 1)
+            if m * n <= max_mn
+        ]
+        assert verify_module._grid_shapes(max_mn, min_n) == expected
+
+
 def test_monotonicity_suite_rows():
     report = verify_monotonicity(4)
     assert report.passed
@@ -134,6 +158,11 @@ def test_perimeter_suite_validates_limits():
         verify_perimeter(9, 10)
     with pytest.raises(ParameterError):
         verify_perimeter(8, -1)
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="trace_samples <= 10000"):
+        verify_perimeter(1, 10_001)
+    assert time.perf_counter() - start < 1.0
+    assert len(verify_perimeter(1, 10_000).rows) == 10_002
 
 
 def test_torus_and_max_suite_rows():
