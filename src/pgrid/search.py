@@ -75,9 +75,19 @@ limit, the branch is kept at once.  ``mkmax_exact`` needs every pollution
 and sets the limit to 4mn, which cuts nothing.  Every residual of one
 ``mkmin_exact`` sweep has the same size t, so its start bound
 ceil(phi_r / 2r) beats the best b so far exactly when its perimeter is at
-most 2r(b - 1) - (2r - 4)t, and that is its limit.  Nothing else changes,
-so the searched pollutions, the values and the budget counts are those of
-the plain listing.
+most 2r(b - 1) - (2r - 4)t, and that is its limit.
+
+Both sweeps start from what they already know.  ``mkmin_exact`` first
+searches one compact residual, a near-square or whole lines of the short
+side in the bottom-left corner, and takes its exact value as the best so
+far: the walk then lists only residuals that can beat it, and none at all
+when that value meets the floor ceil(phi_r / 2r) of the least perimeter of
+t cells.  ``mkmax_exact`` first closes each of its 8 most recent witnesses
+that avoid a pollution A, each of at most best seeds; one that percolates
+G - A proves m(G - A) <= best, and A is skipped.  The compact residual is
+itself one of the sweep's pollutions, and a skipped A cannot raise the
+maximum, so both values are those of the full sweep; only the order of the
+work and the budget counts change.
 
 Polyominoes come from Redelmeier's walk on one bitmask: each is rooted at
 its first cell, mid-way along the top row of a (2t - 1) x t board that holds
@@ -87,7 +97,9 @@ it may grow by and the cells offered on its path, none offered twice.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from math import isqrt
 from operator import eq
 from typing import Iterator
 
@@ -469,16 +481,44 @@ class _Orbits:
         return True
 
 
+def _compact_residual(m: int, n: int, t: int) -> int:
+    """A residual of 1 <= t <= mn cells of least perimeter, in the bottom-left corner.
+
+    While t < s^2, s the short side, it is a near-square: rows of
+    ceil(sqrt(t)) cells, the last one partial; after that, whole lines of s
+    cells across the short side, the last one partial.  Built row by row from
+    the bottom, each row a segment from the left edge.
+    """
+    s = min(m, n)
+    if t < s * s:
+        w = isqrt(t - 1) + 1
+        widths = [w] * (t // w) + [t % w]
+    elif m >= n:
+        # whole columns, the partial one growing up from the bottom row
+        c, extra = divmod(t, n)
+        widths = [c + 1] * extra + [c] * (n - extra)
+    else:
+        widths = [m] * (t // m) + [t % m]
+    # only the last width may be 0, and its row may lie above the board
+    return sum(((1 << w) - 1) << (n - 1 - up) * m for up, w in enumerate(widths) if w)
+
+
 def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Exact best case over pollution: min over all |A| = k of m(G - A, r).
 
-    One pollution is searched per orbit of the grid's symmetries, and none
-    whose start bound is no better than the best so far.  That bound is
+    The sweep first searches one compact residual, from
+    :func:`_compact_residual`, and starts from its exact value as the best so
+    far; it stops there if that value is the floor every residual of t cells
+    needs, or if k = 0, where that residual is the only one.  Otherwise it
+    searches one pollution per orbit of the grid's symmetries, and none whose
+    start bound is no better than the best so far.  That bound is
     ceil(phi_r / 2r) with phi_r = perimeter + (2r - 4)t, and every residual
     has t = mn - k cells, so once the best is b only residuals of perimeter
     at most 2r(b - 1) - (2r - 4)t can beat it, and only those are listed.  The
-    value is that of the full sweep; ``budget`` counts the closures of the
-    searches made.
+    compact residual is one of the pollutions the sweep ranges over, so
+    starting from it changes only the order of the work, never the value:
+    that of the full sweep.  ``budget`` counts the closures of the searches
+    made, the compact residual's included.
     """
     spec, shifts = _sweep_setup(m, n, k, r)
     t = spec.size - k
@@ -489,22 +529,24 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     pad = (reach - 4) * t + reach - 1
     floor = max(1, (min_perimeter(t) + pad) // reach)
     bud = _Budget(budget)
-    orbits = _Orbits(m, n)
     best: int | None = None
-    limit = [4 * spec.size]
     try:
-        for combo, amask, residual in _pollutions(shifts, k, limit):
-            # the walk yields only residuals whose start bound is below best
-            if best is not None and not orbits.least(combo):
-                continue
-            cap = None if best is None else best - 1
-            size, _ = _min_search(shifts, amask, residual, r, cap, bud)
-            if size is not None and (best is None or size < best):
-                best = size
-                # a residual of perimeter above this needs best seeds or more
-                limit[0] = reach * (best - 1) - (reach - 4) * t
-                if best <= floor:
-                    break
+        residual = _compact_residual(m, n, t)
+        best, _ = _min_search(shifts, shifts.full ^ residual, residual, r, None, bud)
+        assert best is not None
+        if k and best > floor:
+            orbits = _Orbits(m, n)
+            # a residual of perimeter above this needs best seeds or more
+            limit = [reach * (best - 1) - (reach - 4) * t]
+            for combo, amask, residual in _pollutions(shifts, k, limit):
+                if not orbits.least(combo):
+                    continue
+                size, _ = _min_search(shifts, amask, residual, r, best - 1, bud)
+                if size is not None:
+                    best = size
+                    limit[0] = reach * (best - 1) - (reach - 4) * t
+                    if best <= floor:
+                        break
     except _OutOfBudget:
         raise BudgetExceededError(
             f"budget of {budget} closure evaluations exhausted",
@@ -512,16 +554,18 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
             lower_bound=floor,
             upper_bound=t if best is None else best,
         ) from None
-    assert best is not None
     return best
 
 
 def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Exact worst case over pollution: max over all |A| = k of m(G - A, r).
 
-    One pollution is searched per orbit of the grid's symmetries.  The value
-    is that of the full sweep; ``budget`` counts the closures of the searches
-    made.
+    One pollution is searched per orbit of the grid's symmetries.  Before a
+    pollution A is searched, each of the 8 most recent search witnesses that
+    avoids A is closed in G - A; every one of them has at most best seeds, so
+    if one percolates, m(G - A) <= best, A cannot raise the best, and it is
+    skipped.  The value is that of the full sweep; ``budget`` counts the
+    closures of the searches made and of the witnesses tried.
     """
     spec, shifts = _sweep_setup(m, n, k, r)
     t = spec.size - k
@@ -530,12 +574,24 @@ def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     bud = _Budget(budget)
     orbits = _Orbits(m, n)
     best: int | None = None
+    recent: deque[int] = deque(maxlen=8)
+
+    def covered(amask: int, residual: int) -> bool:
+        """Whether one of the ``recent`` witnesses that avoid ``amask`` percolates ``residual``."""
+        for seeds in recent:
+            if not seeds & amask:
+                bud.tick()
+                if closure_mask(shifts, amask, seeds, r) == residual:
+                    return True
+        return False
+
     try:
         for combo, amask, residual in _pollutions(shifts, k, [4 * spec.size]):
-            if best is not None and not orbits.least(combo):
+            if best is not None and (not orbits.least(combo) or covered(amask, residual)):
                 continue
-            size, _ = _min_search(shifts, amask, residual, r, None, bud)
-            assert size is not None
+            size, witness = _min_search(shifts, amask, residual, r, None, bud)
+            assert size is not None and witness is not None
+            recent.appendleft(witness)
             if best is None or size > best:
                 best = size
                 if best == t:

@@ -174,8 +174,8 @@ def verify_theorem1(max_mn_exhaustive: int, max_mn_construction: int) -> SuiteRe
     engine-verified constructions plus both lower bounds on larger ones."""
     if max_mn_exhaustive < 4 or max_mn_construction < 4:
         raise ParameterError("limits must be >= 4 (the smallest grid is 2x2)")
-    if max_mn_exhaustive > 60:
-        raise ParameterError("exhaustive boards beyond mn = 60 are out of oracle reach")
+    if max_mn_exhaustive > 150:
+        raise ParameterError("exhaustive boards beyond mn = 150 are out of oracle reach")
     if max_mn_construction > _MAX_CONSTRUCTION_MN:
         raise ParameterError(
             f"construction boards beyond mn = {_MAX_CONSTRUCTION_MN} are out of reach, "

@@ -229,7 +229,7 @@ def test_verify_limit_that_certifies_nothing_exits_one(argv, capsys):
 
 def test_verify_theorem1_beyond_oracle_reach_exits_one_at_once(capsys):
     start = time.perf_counter()
-    assert cli.run(["verify", "theorem1", "--max-exhaustive", "61"]) == 1
+    assert cli.run(["verify", "theorem1", "--max-exhaustive", "151"]) == 1
     assert time.perf_counter() - start < 1.0
     assert "out of oracle reach" in capsys.readouterr().err
 

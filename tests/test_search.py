@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cache
 from itertools import combinations
 import os
 from pathlib import Path
@@ -18,6 +19,7 @@ from pgrid import (
     grid,
     min_percolating_exact,
     min_perimeter,
+    min_perimeter_height_bounded,
     min_polyomino_perimeter_exact,
     mkmax_exact,
     mkmin,
@@ -433,8 +435,8 @@ def test_mkmax_exact_frozen_values(m, n, k, expected):
 
 
 def test_mkmax_exact_searches_one_pollution_per_orbit():
-    # searching all 120 pollutions takes 13,360 closures; their 21 orbits, 2,670
-    assert mkmax_exact(4, 4, 2, budget=3000) == 6
+    # searching all 120 pollutions takes 969 closures; their 21 orbits, 258
+    assert mkmax_exact(4, 4, 2, budget=500) == 6
 
 
 # 4x4 stops at k = 1 and runs r = 3 at k = 0 only: the naive oracle needs ~15 s
@@ -540,19 +542,111 @@ def test_mkmin_exact_r3_row_is_frozen():
     assert [mkmin_exact(6, 4, k, 3) for k in range(25)] == expected
 
 
+# every board of at most 9 cells, one-wide ones included; at 10 cells the naive
+# oracle alone takes ~6 s for every k and r = 1..3, at 12 cells ~100 s
+NAIVE_SWEEP_BOARDS = [(m, n) for m in range(1, 10) for n in range(1, 9 // m + 1)]
+
+
+@cache
+def _naive_numbers(m, n, k, r):
+    return naive_pollution_numbers(m, n, k, r)
+
+
+def test_compact_residual_has_the_least_perimeter_on_its_board():
+    for m in range(1, 151):
+        for n in range(1, 150 // m + 1):
+            s = min(m, n)
+            perimeter = Shifts.of(grid(m, n)).perimeter
+            for t in range(1, m * n + 1):
+                mask = search._compact_residual(m, n, t)
+                assert mask.bit_count() == t and mask >> m * n == 0, (m, n, t)
+                assert mask >> (n - 1) * m & 1, (m, n, t)  # the bottom-left cell
+                least = min_perimeter(t) if t < s * s else min_perimeter_height_bounded(t, s)
+                assert perimeter(mask) == least, (m, n, t)
+
+
+def _scattered(m, n, t):
+    """A poor first residual: t cells, one colour of a checkerboard first.
+
+    At r >= 2 it falls apart into isolated cells, so the walk must find the
+    minimum.
+    """
+    order = sorted(range(m * n), key=lambda p: ((p % m + p // m) % 2, p))
+    return sum(1 << p for p in order[:t])
+
+
+def test_mkmin_exact_value_does_not_depend_on_the_compact_residual(monkeypatch):
+    calls = []
+
+    def scattered(m, n, t):
+        calls.append((m, n, t))
+        return _scattered(m, n, t)
+
+    monkeypatch.setattr(search, "_compact_residual", scattered)
+    poorer = 0
+    for m, n in NAIVE_SWEEP_BOARDS:
+        cells = canonical_cells(m, n)
+        for k in range(m * n + 1):
+            for r in (1, 2, 3):
+                best = min(_naive_numbers(m, n, k, r))
+                assert mkmin_exact(m, n, k, r) == best, (m, n, k, r)
+                if 0 < k < m * n:
+                    kept = _scattered(m, n, m * n - k)
+                    polluted = [c for p, c in enumerate(cells) if not kept >> p & 1]
+                    instance = PollutedInstance.of(grid(m, n), polluted)
+                    poorer += min_percolating_exact(instance, r).size > best
+    # the sweeps on 2 <= n <= m boards of up to 30 cells, against the closed form
+    for m, n in [(m, n) for n in range(2, 6) for m in range(n, 31 // n)]:
+        assert [mkmin_exact(m, n, k) for k in range(m * n + 1)] == [
+            mkmin(m, n, k) for k in range(m * n + 1)
+        ], (m, n)
+    # the scattered residual needs more seeds than the sweep's value in 126 of
+    # the 321 cases with 0 < k < mn, so there the walk found the minimum
+    assert calls and poorer == 126
+
+
+def _no_walk(*args):
+    raise AssertionError("pollution walk started")
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 9), (9, 1), (3, 3), (4, 3), (3, 4)])
+def test_mkmin_exact_at_k0_searches_the_clean_board_alone(m, n, monkeypatch):
+    monkeypatch.setattr(search, "_pollutions", _no_walk)
+    for r in (1, 2, 3, 4):
+        assert mkmin_exact(m, n, 0, r) == naive_min_percolating(m, n, "grid", set(), r)[0]
+
+
+def test_mkmin_exact_needs_no_walk_where_the_compact_residual_meets_the_floor(monkeypatch):
+    # t = 121, 100, 81 and 64 cells: the squares 11x11 to 8x8 need their side
+    # in seeds, the floor ceil(min_perimeter(t) / 4), so the sweep ends before
+    # the walk, which spends ~61 s on these four before it meets the square
+    monkeypatch.setattr(search, "_pollutions", _no_walk)
+    assert [mkmin_exact(14, 14, k) for k in (75, 96, 115, 132)] == [11, 10, 9, 8]
+
+
+def test_mkmax_exact_witness_cache_keeps_the_naive_maximum():
+    for m, n in NAIVE_SWEEP_BOARDS:
+        for k in range(m * n + 1):
+            for r in (2, 3):
+                assert mkmax_exact(m, n, k, r) == max(_naive_numbers(m, n, k, r)), (m, n, k, r)
+
+
 @pytest.mark.parametrize(
     "oracle,args,closures",
     [
-        (mkmax_exact, (4, 4, 2), 359),
-        (mkmax_exact, (5, 5, 2), 1_792),
-        (mkmax_exact, (6, 5, 2), 6_330),
+        (mkmax_exact, (4, 4, 2), 258),
+        (mkmax_exact, (5, 5, 2), 1_340),
+        (mkmax_exact, (6, 5, 2), 3_970),
         (mkmin_exact, (6, 4, 0, 3), 1_099),
-        (mkmin_exact, (6, 4, 2, 3), 709),
+        (mkmin_exact, (6, 4, 2, 3), 831),
     ],
 )
 def test_sweep_closure_counts_are_frozen(oracle, args, closures):
     # each sweep's exact closure count: the walk lists mkmax_exact's pollutions
-    # in combinations order, and the symmetry rule cuts no closure here
+    # in combinations order, and the symmetry rule cuts no closure here; the
+    # mkmax_exact counts include the witnesses tried (359, 1,792 and 6,330
+    # closures without them), the mkmin_exact ones the compact residual
+    # (709 without it on (6, 4, 2) at r = 3, where it costs more than it saves)
     oracle(*args, budget=closures)
     with pytest.raises(BudgetExceededError) as exc:
         oracle(*args, budget=closures - 1)
@@ -568,14 +662,14 @@ SWEEP_BUDGET_OUTCOMES = {
     (8, 2, 2): [(2, 4, 14), (4, 4, 14), (11, 4, 14), 5],
     (8, 2, 3): [(2, 4, 13), (4, 4, 13), 5, 5],
     (8, 2, 4): [(2, 4, 12), (4, 4, 12), (11, 4, 12), 4],
-    (8, 2, 5): [(2, 4, 11), (4, 4, 11), (11, 4, 5), 4],
+    (8, 2, 5): [(2, 4, 11), (4, 4, 11), 4, 4],
     (8, 2, 6): [(2, 4, 10), (4, 4, 10), (11, 4, 10), 4],
-    (8, 2, 7): [(2, 3, 9), (4, 3, 9), (11, 3, 5), 4],
-    (8, 2, 8): [(2, 3, 8), (4, 3, 8), (11, 3, 5), 3],
+    (8, 2, 7): [(2, 3, 9), (4, 3, 9), 4, 4],
+    (8, 2, 8): [(2, 3, 8), (4, 3, 8), 3, 3],
     (8, 2, 9): [(2, 3, 7), (4, 3, 7), 3, 3],
     (8, 2, 10): [(2, 3, 6), (4, 3, 6), 3, 3],
     (8, 2, 11): [(2, 3, 5), 3, 3, 3],
-    (8, 2, 12): [(2, 2, 4), (4, 2, 3), 2, 2],
+    (8, 2, 12): [(2, 2, 4), (4, 2, 4), 2, 2],
     (5, 5, 0): [(2, 5, 25), (4, 5, 25), (11, 5, 25), 5],
     (5, 5, 1): [(2, 5, 24), (4, 5, 24), (11, 5, 24), (31, 5, 24)],
     (5, 5, 2): [(2, 5, 23), (4, 5, 23), (11, 5, 23), 5],
@@ -585,19 +679,19 @@ SWEEP_BUDGET_OUTCOMES = {
     (5, 5, 6): [(2, 5, 19), (4, 5, 19), (11, 5, 19), 5],
     (5, 5, 7): [(2, 5, 18), (4, 5, 18), (11, 5, 18), 5],
     (5, 5, 8): [(2, 5, 17), (4, 5, 17), (11, 5, 17), 5],
-    (5, 5, 9): [(2, 4, 16), (4, 4, 16), (11, 4, 16), (31, 4, 5)],
+    (5, 5, 9): [(2, 4, 16), (4, 4, 16), (11, 4, 16), 4],
     (5, 5, 10): [(2, 4, 15), (4, 4, 15), (11, 4, 15), 4],
     (5, 5, 11): [(2, 4, 14), (4, 4, 14), (11, 4, 14), 4],
     (5, 5, 12): [(2, 4, 13), (4, 4, 13), (11, 4, 13), 4],
     (5, 5, 13): [(2, 4, 12), (4, 4, 12), (11, 4, 12), 4],
     (5, 5, 14): [(2, 4, 11), (4, 4, 11), (11, 4, 11), 4],
     (5, 5, 15): [(2, 4, 10), (4, 4, 10), (11, 4, 10), 4],
-    (5, 5, 16): [(2, 3, 9), (4, 3, 9), (11, 3, 4), 3],
-    (5, 5, 17): [(2, 3, 8), (4, 3, 8), (11, 3, 4), 3],
+    (5, 5, 16): [(2, 3, 9), (4, 3, 9), 3, 3],
+    (5, 5, 17): [(2, 3, 8), (4, 3, 8), (11, 3, 8), 3],
     (5, 5, 18): [(2, 3, 7), (4, 3, 7), 3, 3],
     (5, 5, 19): [(2, 3, 6), (4, 3, 6), 3, 3],
     (5, 5, 20): [(2, 3, 5), 3, 3, 3],
-    (5, 5, 21): [(2, 2, 4), (4, 2, 3), 2, 2],
+    (5, 5, 21): [(2, 2, 4), (4, 2, 4), 2, 2],
     (1, 12, 0): [(2, 4, 12), (4, 4, 12), (11, 4, 12), 7],
     (1, 12, 1): [(2, 4, 11), (4, 4, 11), (11, 4, 11), 6],
     (1, 12, 2): [(2, 4, 10), (4, 4, 10), 6, 6],
@@ -613,12 +707,15 @@ SWEEP_BUDGET_OUTCOMES = {
 @pytest.mark.parametrize("m,n", [(8, 2), (5, 5), (1, 12)])
 def test_mkmin_exact_budget_errors_are_frozen(m, n):
     for k in range(m * n + 1):
+        # the closed form covers boards at least two cells wide
+        value = mkmin(m, n, k) if 2 <= n <= m else mkmin_exact(m, n, k)
         outcomes = []
         for budget in (1, 3, 10, 30):
             try:
                 outcomes.append(mkmin_exact(m, n, k, budget=budget))
             except BudgetExceededError as exc:
                 outcomes.append((exc.nodes, exc.lower_bound, exc.upper_bound))
+                assert exc.lower_bound <= value <= exc.upper_bound, (m, n, k, budget)
                 assert (exc.start_bound, exc.forced, exc.level_nodes) == (0, 0, ())
                 assert (exc.suffix_prunes, exc.perimeter_prunes, exc.symmetry_prunes) == (0, 0, 0)
         expected = SWEEP_BUDGET_OUTCOMES.get((m, n, k), [mkmin_exact(m, n, k)] * 4)

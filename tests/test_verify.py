@@ -47,9 +47,9 @@ def test_theorem1_suite_validates_limits():
 def test_theorem1_suite_rejects_exhaustive_boards_beyond_oracle_reach():
     start = time.perf_counter()
     with pytest.raises(ParameterError, match="out of oracle reach"):
-        verify_theorem1(61, 4)
+        verify_theorem1(151, 4)
     with pytest.raises(ParameterError, match="out of oracle reach"):
-        verify_theorem1(65, 400)
+        verify_theorem1(155, 400)
     assert time.perf_counter() - start < 1.0
 
 
