@@ -3,10 +3,13 @@
 For favorable pollution (small k) the polluted set deletes the last columns
 and the seeds alternate along the first column and first row of what is left.
 For large k the residual is kept as close to a square as possible and seeded
-the same way; their masks are built directly by index arithmetic, with no
-coordinate lists.  For the worst-pollution lower bound the polluted set is an
-independent set of interior degree-4 vertices.  Every witness returned here
-is re-checked with the engine before it leaves this module.
+the same way.  One builder, ``_extremal_masks``, makes both masks of every
+branch by index arithmetic, with no coordinate lists, and the public
+constructors wrap it.  For the worst-pollution lower bound the polluted set is
+an independent set of interior degree-4 vertices.  Every witness returned here
+is re-checked with the engine before it leaves this module; ``verify
+theorem1`` takes the masks from the builder and closes each witness itself,
+on one set of shift constants per board.
 """
 
 from __future__ import annotations
@@ -57,6 +60,35 @@ def _alternating_path_seeds(spec: GridSpec, cols: int, rows: int) -> int:
     return column | (row | last) << bottom
 
 
+def _extremal_masks(spec: GridSpec, k: int) -> tuple[int, int]:
+    """(polluted, seeds) masks of the extremal witness on the m x n grid ``spec``.
+
+    The small-k geometry of :func:`pollution_small_k` and :func:`seeds_small_k`
+    while k <= (m-n)n, k = 0 included, and that of :func:`extremal_large_k`
+    after; at k = (m-n)n both leave the n by n square with the same seeds.
+    No validation: 2 <= n <= m and 0 <= k <= mn are assumed.
+    """
+    m, n = spec.m, spec.n
+    if k <= (m - n) * n:
+        ell, rest = divmod(k, n)
+        polluted = _block(spec, ell, n, m - ell + 1) | _block(spec, 1, rest, m - ell, n + 1 - rest)
+        return polluted, _alternating_path_seeds(spec, m - ell, n)
+    t = m * n - k
+    x = isqrt(t)
+    o = t - x * x
+    residual = _block(spec, x, x)
+    if 0 < o <= x:
+        residual |= _block(spec, o, 1, 1, x + 1)
+        cols, rows = x, x + 1
+    elif o > x:
+        residual |= _block(spec, x, 1, 1, x + 1) | _block(spec, 1, o - x, x + 1)
+        cols = rows = x + 1
+    else:
+        cols = rows = x
+    full = (1 << m * n) - 1
+    return full ^ residual, _alternating_path_seeds(spec, cols, rows)
+
+
 def _check_small_k(m: int, n: int, k: int) -> GridSpec:
     _check_grid_shape(m, n)
     if not 1 <= k <= (m - n) * n:
@@ -67,18 +99,20 @@ def _check_small_k(m: int, n: int, k: int) -> GridSpec:
 def pollution_small_k(m: int, n: int, k: int) -> CellSet:
     """The last floor(k/n) full columns plus leftovers down the next column's top."""
     spec = _check_small_k(m, n, k)
-    ell, rest = divmod(k, n)
-    columns = _block(spec, ell, n, m - ell + 1)
-    return CellSet(spec, columns | _block(spec, 1, rest, m - ell, n + 1 - rest))
+    return CellSet(spec, _extremal_masks(spec, k)[0])
 
 
 def seeds_small_k(m: int, n: int, k: int) -> CellSet:
     """Alternating seeds along column 1 and row 1 of the surviving m-ell columns."""
     spec = _check_small_k(m, n, k)
-    return CellSet(spec, _alternating_path_seeds(spec, m - k // n, n))
+    return CellSet(spec, _extremal_masks(spec, k)[1])
 
 
-def _verified_witness(instance: PollutedInstance, seeds: CellSet, m: int, n: int, k: int) -> ExtremalWitness:
+def _verified_witness(m: int, n: int, k: int) -> ExtremalWitness:
+    spec = grid(m, n)
+    polluted, seed_mask = _extremal_masks(spec, k)
+    instance = PollutedInstance(spec, CellSet(spec, polluted))
+    seeds = CellSet(spec, seed_mask)
     expected = mkmin(m, n, k)
     if instance.k != k or len(seeds) != expected or not is_percolating(instance, seeds, 2):
         raise InternalConsistencyError(
@@ -98,22 +132,7 @@ def extremal_large_k(m: int, n: int, k: int) -> ExtremalWitness:
     pivot = (m - n) * n
     if not pivot <= k <= m * n:
         raise ParameterError(f"need (m-n)n = {pivot} <= k <= {m * n}, got k={k}")
-    spec = grid(m, n)
-    t = m * n - k
-    x = isqrt(t)
-    o = t - x * x
-    residual = _block(spec, x, x)
-    if 0 < o <= x:
-        residual |= _block(spec, o, 1, 1, x + 1)
-        cols, rows = x, x + 1
-    elif o > x:
-        residual |= _block(spec, x, 1, 1, x + 1) | _block(spec, 1, o - x, x + 1)
-        cols = rows = x + 1
-    else:
-        cols = rows = x
-    polluted = CellSet(spec, residual).complement()
-    seeds = CellSet(spec, _alternating_path_seeds(spec, cols, rows))
-    return _verified_witness(PollutedInstance(spec, polluted), seeds, m, n, k)
+    return _verified_witness(m, n, k)
 
 
 def construct_extremal(m: int, n: int, k: int) -> ExtremalWitness:
@@ -121,14 +140,7 @@ def construct_extremal(m: int, n: int, k: int) -> ExtremalWitness:
     _check_grid_shape(m, n)
     if not 0 <= k <= m * n:
         raise ParameterError(f"need 0 <= k <= {m * n}, got k={k}")
-    if k == 0:
-        spec = grid(m, n)
-        seeds = CellSet(spec, _alternating_path_seeds(spec, m, n))
-        return _verified_witness(PollutedInstance(spec, CellSet(spec)), seeds, m, n, 0)
-    if k <= (m - n) * n:
-        instance = PollutedInstance(grid(m, n), pollution_small_k(m, n, k))
-        return _verified_witness(instance, seeds_small_k(m, n, k), m, n, k)
-    return extremal_large_k(m, n, k)
+    return _verified_witness(m, n, k)
 
 
 def pollution_max_independent(m: int, n: int, k: int) -> CellSet:

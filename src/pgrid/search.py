@@ -509,7 +509,10 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     The sweep first searches one compact residual, from
     :func:`_compact_residual`, and starts from its exact value as the best so
     far; it stops there if that value is the floor every residual of t cells
-    needs, or if k = 0, where that residual is the only one.  Otherwise it
+    needs, or if k = 0, where that residual is the only one.  Where no cell of
+    the board has r neighbours (r >= 3 one wide, r >= 4 two wide, r >= 5
+    anywhere) that floor is t, since no residual cell can ever be infected,
+    and the compact residual meets it.  Otherwise it
     searches one pollution per orbit of the grid's symmetries, and none whose
     start bound is no better than the best so far.  That bound is
     ceil(phi_r / 2r) with phi_r = perimeter + (2r - 4)t, and every residual
@@ -528,6 +531,8 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     # ceil((perimeter + (2r - 4)t) / 2r) is (perimeter + pad) // reach
     pad = (reach - 4) * t + reach - 1
     floor = max(1, (min_perimeter(t) + pad) // reach)
+    if not shifts.at_least(shifts.full, r) & shifts.full:
+        floor = t
     bud = _Budget(budget)
     best: int | None = None
     try:

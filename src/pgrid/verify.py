@@ -23,9 +23,9 @@ from math import isqrt
 from operator import ne
 from typing import Iterator
 
-from .constructions import construct_extremal, pollution_max_independent
-from .engine import percolate
-from .errors import BudgetExceededError, InternalConsistencyError, ParameterError
+from .constructions import _extremal_masks, pollution_max_independent
+from .engine import closure_mask, percolate
+from .errors import BudgetExceededError, ParameterError
 from .formulas import (
     ceil_two_sqrt,
     independent_interior_capacity,
@@ -45,8 +45,9 @@ _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 _TRACE_M, _TRACE_N = 8, 5
 _TRACE_MAX_POLLUTION = 13
 # Largest sweeps accepted.  The construction rows grow about as the square of
-# the limit: 400 checks 189,801 rows in ~13 s at a peak RSS of 81 MiB, where
-# 1,000 would check 1,401,090.  10,000 trace samples take ~1 s and 22 MiB.
+# the limit: 400 checks 189,796 rows, in ~12 s at a peak RSS of 81 MiB with
+# --csv and ~14 s at 140 MiB with --json on a 2-vCPU host, where 1,000 would
+# check 1,401,085.  10,000 trace samples take ~1 s and 22 MiB.
 _MAX_CONSTRUCTION_MN = 400
 _MAX_TRACE_SAMPLES = 10_000
 
@@ -111,6 +112,8 @@ class SuiteReport:
         ``indent`` forces the pure-Python encoder, so only the short head goes
         through it; each row, whose values are all scalars, is one C-encoded
         line that ``_ROW_ENCODER``'s separators lay out at the rows' indent.
+        The rows and the head's two halves meet in a single join, so the
+        document is copied once, not once per concatenation.
         """
         doc = {
             "suite": self.name,
@@ -124,8 +127,10 @@ class SuiteReport:
         head = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         if not self.rows:
             return head
+        # sorted keys and a two-space indent leave exactly one top-level rows line
+        before, after = head.split('\n  "rows": [],', 1)
         encode = _ROW_ENCODER.encode
-        rows = ",\n    ".join(
+        parts = [
             "{\n      "
             + encode(
                 {
@@ -142,9 +147,11 @@ class SuiteReport:
             )[1:-1]
             + "\n    }"
             for row in self.rows
-        )
-        # sorted keys and a two-space indent leave exactly one top-level rows line
-        return head.replace('\n  "rows": [],', '\n  "rows": [\n    ' + rows + "\n  ],", 1)
+        ]
+        # one join writes the document: the head's halves ride on the first and last rows
+        parts[0] = before + '\n  "rows": [\n    ' + parts[0]
+        parts[-1] += "\n  ]," + after
+        return ",\n    ".join(parts)
 
 
 def _ms(t0: float) -> float:
@@ -199,26 +206,33 @@ def verify_theorem1(max_mn_exhaustive: int, max_mn_construction: int) -> SuiteRe
                 CheckRow("theorem1.oracle-certified", m, n, k, expected, actual, ok, _ms(t0))
             )
     for m, n in _grid_shapes(max_mn_construction):
-        shifts = Shifts.of(grid(m, n))
+        spec = grid(m, n)
+        shifts = Shifts.of(spec)
         for k in range(m * n + 1):
             t0 = time.perf_counter()
             expected = mkmin(m, n, k)
             note = ""
             actual: object
-            try:
-                witness = construct_extremal(m, n, k)
-                actual = len(witness.seeds)
-                ok = actual == expected
-                bound = shifts.seed_floor(witness.instance.residual.mask, 2)
+            # the checks construct_extremal makes, on masks and this board's shifts
+            polluted, seeds = _extremal_masks(spec, k)
+            residual = shifts.full ^ polluted
+            if (
+                polluted.bit_count() != k
+                or seeds.bit_count() != expected
+                or closure_mask(shifts, polluted, seeds, 2) != residual
+            ):
+                actual = f"construction failed: witness for m={m}, n={n}, k={k} failed verification"
+                ok = False
+            else:
+                actual = expected
+                ok = True
+                bound = shifts.seed_floor(residual, 2)
                 if bound > expected:
                     ok = False
                     note = f"perimeter bound {bound} exceeds the formula value"
                 if ok and 1 <= k < m * n and mkmin_lower_bound(m, n, k) != expected:
                     ok = False
                     note = "rectangle-style bound disagrees with the formula value"
-            except InternalConsistencyError as exc:
-                actual = f"construction failed: {exc}"
-                ok = False
             rows.append(
                 CheckRow("theorem1.construction-only", m, n, k, expected, actual, ok, _ms(t0), note)
             )

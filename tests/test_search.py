@@ -616,6 +616,17 @@ def test_mkmin_exact_at_k0_searches_the_clean_board_alone(m, n, monkeypatch):
         assert mkmin_exact(m, n, 0, r) == naive_min_percolating(m, n, "grid", set(), r)[0]
 
 
+def test_mkmin_exact_needs_no_walk_where_no_cell_has_r_neighbours(monkeypatch):
+    # every residual then needs all its t cells; the walk used to list nearly
+    # every pollution anyway (mkmin_exact(20, 1, 10, 3) took ~2 s)
+    monkeypatch.setattr(search, "_pollutions", _no_walk)
+    one_wide = [(m, n, r) for m, n in NAIVE_SWEEP_BOARDS if min(m, n) == 1 for r in (3, 4)]
+    for m, n, r in one_wide + [(3, 3, 5), (4, 2, 4), (2, 4, 4)]:
+        for k in range(m * n + 1):
+            assert mkmin_exact(m, n, k, r) == min(_naive_numbers(m, n, k, r)), (m, n, k, r)
+    assert mkmin_exact(20, 1, 10, 3) == mkmin_exact(10, 2, 10, 4) == 10
+
+
 def test_mkmin_exact_needs_no_walk_where_the_compact_residual_meets_the_floor(monkeypatch):
     # t = 121, 100, 81 and 64 cells: the squares 11x11 to 8x8 need their side
     # in seeds, the floor ceil(min_perimeter(t) / 4), so the sweep ends before

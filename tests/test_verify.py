@@ -5,17 +5,24 @@ import time
 
 import pytest
 
+import pgrid.cli as cli
 import pgrid.verify as verify_module
 from pgrid import (
     CSV_COLUMNS,
     CheckRow,
     ParameterError,
     SuiteReport,
+    construct_extremal,
+    grid,
+    is_percolating,
+    mkmin,
+    mkmin_lower_bound,
     verify_monotonicity,
     verify_perimeter,
     verify_theorem1,
     verify_torus_and_max,
 )
+from pgrid.grid import Shifts
 
 
 def _signature(report):
@@ -60,9 +67,78 @@ def test_theorem1_suite_rejects_construction_sweeps_beyond_the_cap(monkeypatch):
     with pytest.raises(ParameterError, match="beyond mn = 400"):
         verify_theorem1(4, 1000)
     assert time.perf_counter() - start < 1.0
-    # the cap itself is accepted; the sweep is skipped, as it takes ~13 s
+    # the cap itself is accepted; the sweep is skipped, as it takes ~12 s
     monkeypatch.setattr(verify_module, "_grid_shapes", lambda max_mn, min_n=2: [])
     assert verify_theorem1(4, 400).limits["max_mn_construction"] == 400
+
+
+def test_construction_rows_match_the_public_constructors():
+    rebuilt = []
+    for n in range(2, 8):
+        for m in range(n, 60 // n + 1):
+            shifts = Shifts.of(grid(m, n))
+            for k in range(m * n + 1):
+                witness = construct_extremal(m, n, k)
+                assert is_percolating(witness.instance, witness.seeds, 2)
+                expected = mkmin(m, n, k)
+                actual = len(witness.seeds)
+                ok, note = actual == expected, ""
+                bound = shifts.seed_floor(witness.instance.residual.mask, 2)
+                if bound > expected:
+                    ok, note = False, f"perimeter bound {bound} exceeds the formula value"
+                if ok and 1 <= k < m * n and mkmin_lower_bound(m, n, k) != expected:
+                    ok, note = False, "rectangle-style bound disagrees with the formula value"
+                rebuilt.append(("theorem1.construction-only", m, n, k, expected, actual, ok, note))
+    rows = [sig for sig in _signature(verify_theorem1(4, 60)) if sig[0] == rebuilt[0][0]]
+    assert len(rows) == 2_764
+    assert rows == sorted(rebuilt)
+
+
+def _lowest(mask, count):
+    """The ``count`` lowest set bits of ``mask``."""
+    out = 0
+    for _ in range(count):
+        low = mask & -mask
+        out |= low
+        mask ^= low
+    return out
+
+
+@pytest.mark.parametrize(
+    "breach",
+    [
+        # one seed too few
+        lambda full, polluted, seeds: (polluted, seeds & seeds - 1),
+        # one seed too many, which still percolates: only the seed count sees it
+        lambda full, polluted, seeds: (polluted, seeds | _lowest(full ^ polluted ^ seeds, 1)),
+        # the leftover polluted cell healthy again, the 5x2 block still
+        # percolating: only the pollution count sees it
+        lambda full, polluted, seeds: (polluted & polluted - 1, seeds),
+        # as many seeds as the formula asks, along the top row, where they
+        # infect nothing: only the closure sees it
+        lambda full, polluted, seeds: (polluted, _lowest(full ^ polluted, seeds.bit_count())),
+    ],
+    ids=["seed-dropped", "seed-added", "cell-freed", "seeds-moved"],
+)
+def test_a_broken_construction_fails_its_own_row(breach, monkeypatch, capsys):
+    build = verify_module._extremal_masks
+
+    def broken(spec, k):
+        polluted, seeds = build(spec, k)
+        if (spec.m, spec.n, k) == (6, 2, 3):
+            return breach((1 << spec.size) - 1, polluted, seeds)
+        return polluted, seeds
+
+    monkeypatch.setattr(verify_module, "_extremal_masks", broken)
+    report = verify_theorem1(4, 12)
+    assert [(row.suite, row.m, row.n, row.k) for row in report.failures] == [
+        ("theorem1.construction-only", 6, 2, 3)
+    ]
+    row = report.failures[0]
+    assert row.passed is False and row.expected == 4 and row.note == ""
+    assert row.actual == "construction failed: witness for m=6, n=2, k=3 failed verification"
+    assert cli.run(["verify", "theorem1", "--max-exhaustive", "4", "--max-construction", "12"]) == 3
+    assert "FAIL theorem1.construction-only m=6 n=2 k=3: expected 4" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("min_n", [1, 2, 3])
