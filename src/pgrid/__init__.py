@@ -18,7 +18,6 @@ from .constructions import (
 from .engine import PercolationTrace, is_percolating, percolate
 from .errors import (
     BudgetExceededError,
-    EmptyGraphError,
     InternalConsistencyError,
     InvalidVertexError,
     InvariantError,
@@ -49,16 +48,12 @@ from .grid import (
     Topology,
     Vertex,
     grid,
-    min_degree,
-    neighbors,
     torus,
 )
 from .perimeter import (
     min_perimeter,
     min_perimeter_height_bounded,
     perimeter_lower_bound,
-    shape_perimeter,
-    shared_edge_count,
 )
 from .render import render_trace
 from .search import (
@@ -88,7 +83,6 @@ __all__ = [
     "CellSet",
     "CheckRow",
     "DEFAULT_NODE_BUDGET",
-    "EmptyGraphError",
     "ExtremalParams",
     "ExtremalWitness",
     "GridSpec",
@@ -113,7 +107,6 @@ __all__ = [
     "grid",
     "independent_interior_capacity",
     "is_percolating",
-    "min_degree",
     "min_percolating_exact",
     "min_perimeter",
     "min_perimeter_height_bounded",
@@ -124,7 +117,6 @@ __all__ = [
     "mkmin_exact",
     "mkmin_lower_bound",
     "mkmin_remark_form",
-    "neighbors",
     "parse_instance",
     "percolate",
     "percolation_number_grid",
@@ -134,8 +126,6 @@ __all__ = [
     "pollution_small_k",
     "render_trace",
     "seeds_small_k",
-    "shape_perimeter",
-    "shared_edge_count",
     "torus",
     "verify_monotonicity",
     "verify_perimeter",

@@ -22,10 +22,6 @@ class InvalidVertexError(ParameterError):
     """A vertex lies outside the host grid."""
 
 
-class EmptyGraphError(ParameterError):
-    """An operation needs at least one residual vertex but all are polluted."""
-
-
 class InvariantError(PgridError):
     """An input state breaks a structural invariant (e.g. seeds on polluted cells)."""
 

@@ -28,7 +28,7 @@ class Branch(str, Enum):
 
 @dataclass(frozen=True)
 class ExtremalParams:
-    """Derived quantities shared by the two branches of the extremal formula.
+    """Derived quantities of the extremal formula; :func:`mkmin` computes on plain ints.
 
     ``ell`` counts whole columns the pollution can delete, ``t`` is the
     residual cell count, ``x`` its integer square root, ``rem`` the leftover
@@ -50,17 +50,16 @@ def _check_grid_shape(m: int, n: int) -> None:
         raise ParameterError(f"need 2 <= n <= m, got m={m}, n={n}")
 
 
-def extremal_params(m: int, n: int, k: int) -> ExtremalParams:
+def _check_args(m: int, n: int, k: int) -> None:
     _check_grid_shape(m, n)
     if not 0 <= k <= m * n:
         raise ParameterError(f"need 0 <= k <= {m * n}, got k={k}")
+
+
+def extremal_params(m: int, n: int, k: int) -> ExtremalParams:
+    _check_args(m, n, k)
     pivot = (m - n) * n
-    if k < pivot:
-        branch = Branch.SMALL_K
-    elif k > pivot:
-        branch = Branch.LARGE_K
-    else:
-        branch = Branch.BOUNDARY
+    branch = Branch.BOUNDARY if k == pivot else Branch.SMALL_K if k < pivot else Branch.LARGE_K
     t = m * n - k
     x = isqrt(t)
     return ExtremalParams(m, n, k, k // n, t, x, t - x * x, branch)
@@ -88,28 +87,20 @@ def percolation_number_torus(m: int, n: int) -> int:
     return (m + n + 1) // 2 - 1
 
 
-def _mkmin_small(p: ExtremalParams) -> int:
-    return (p.n + p.m - p.ell + 1) // 2
-
-
-def _mkmin_large(p: ExtremalParams) -> int:
-    return (ceil_two_sqrt(p.t) + 1) // 2
-
-
 def mkmin(m: int, n: int, k: int) -> int:
     """Minimum percolating-set size under the most favorable k-vertex pollution."""
-    p = extremal_params(m, n, k)
-    if p.branch is Branch.SMALL_K:
-        return _mkmin_small(p)
-    if p.branch is Branch.LARGE_K:
-        return _mkmin_large(p)
-    small, large = _mkmin_small(p), _mkmin_large(p)
-    if small != large:
+    _check_args(m, n, k)
+    pivot = (m - n) * n
+    small = (n + m - k // n + 1) // 2
+    if k < pivot:
+        return small
+    large = (ceil_two_sqrt(m * n - k) + 1) // 2
+    if k == pivot and small != large:
         # both expressions are provably equal at k = (m-n)n
         raise InternalConsistencyError(
             f"branch mismatch at k=(m-n)n: {small} != {large} for m={m}, n={n}, k={k}"
         )
-    return small
+    return large
 
 
 def mkmin_remark_form(m: int, n: int, k: int) -> int:
@@ -138,12 +129,11 @@ def mkmin_lower_bound(m: int, n: int, k: int) -> int:
     _check_grid_shape(m, n)
     if not 1 <= k < m * n:
         raise ParameterError(f"need 1 <= k < {m * n}, got k={k}")
-    p = extremal_params(m, n, k)
-    if p.t > n * n:
-        return (p.n + p.m - p.ell + 1) // 2
-    if p.rem == 0:
-        return p.x
-    return p.x + 1
+    t = m * n - k
+    if t > n * n:
+        return (n + m - k // n + 1) // 2
+    x = isqrt(t)
+    return x if x * x == t else x + 1
 
 
 def independent_interior_capacity(m: int, n: int) -> int:

@@ -5,7 +5,8 @@ A host graph is an ``m x n`` grid (Cartesian product of two paths) or torus
 ``i`` in ``[1, m]`` and row ``j`` in ``[1, n]``.  Cell sets are immutable and
 backed by a single bitmask over the canonical cell index, which enumerates
 rows top down (``j = n`` first) and columns left to right, so index ``p`` is
-vertex ``(p % m + 1, n - p // m)``.
+vertex ``(p % m + 1, n - p // m)``.  Degrees and perimeters are computed only
+on masks, through :class:`Shifts`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from enum import Enum
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import EmptyGraphError, InvalidVertexError, ParameterError
+from .errors import InvalidVertexError, ParameterError
 
 #: Largest board, in cells, that :class:`GridSpec` accepts: every cell set is a
 #: big int with a bit per cell, so a huge board would exhaust memory, not fail.
@@ -84,35 +85,6 @@ def grid(m: int, n: int) -> GridSpec:
 
 def torus(m: int, n: int) -> GridSpec:
     return GridSpec(m, n, Topology.TORUS)
-
-
-def neighbors(spec: GridSpec, v: tuple[int, int]) -> list[Vertex]:
-    """Adjacent vertices in the order up, down, left, right.
-
-    On the torus every vertex has exactly four neighbors because edges wrap;
-    on the grid, boundary vertices simply omit the missing directions.
-    """
-    if not spec.contains(v):
-        raise InvalidVertexError(f"vertex {tuple(v)} outside {spec.m}x{spec.n} board")
-    i, j = v
-    if spec.topology is Topology.TORUS:
-        m, n = spec.m, spec.n
-        return [
-            Vertex(i, j % n + 1),
-            Vertex(i, (j - 2) % n + 1),
-            Vertex((i - 2) % m + 1, j),
-            Vertex(i % m + 1, j),
-        ]
-    out = []
-    if j < spec.n:
-        out.append(Vertex(i, j + 1))
-    if j > 1:
-        out.append(Vertex(i, j - 1))
-    if i > 1:
-        out.append(Vertex(i - 1, j))
-    if i < spec.m:
-        out.append(Vertex(i + 1, j))
-    return out
 
 
 class Shifts(NamedTuple):
@@ -273,15 +245,6 @@ class PollutedInstance:
     @property
     def k(self) -> int:
         return len(self.polluted)
-
-
-def min_degree(instance: PollutedInstance) -> int:
-    """Minimum degree of the residual graph (polluted vertices removed)."""
-    residual = instance.residual.mask
-    if not residual:
-        raise EmptyGraphError("every vertex is polluted")
-    shifts = Shifts.of(instance.spec)
-    return next((d for d in (4, 3, 2, 1) if not residual & ~shifts.at_least(residual, d)), 0)
 
 
 def _symmetries(m: int, n: int) -> list[tuple[int, ...]]:

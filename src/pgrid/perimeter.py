@@ -6,36 +6,16 @@ edges.  The minimum perimeter achievable with ``t`` cells has a closed form,
 as does the variant where the shape's height is capped.  Because a cell
 infected by two or more neighbors never increases the union's perimeter,
 ``ceil(perimeter / 4)`` of the residual region lower-bounds the size of any
-percolating seed set on a grid.
+percolating seed set on a grid.  Perimeters of actual cell sets are computed
+only on masks, by :meth:`Shifts.perimeter`; this module holds the closed forms.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from typing import Iterable
 
 from .errors import OutOfHypothesisError, ParameterError, UnsupportedTopologyError
 from .grid import PollutedInstance, Shifts, Topology
-
-Cell = tuple[int, int]
-
-
-def shared_edge_count(cells: Iterable[Cell]) -> int:
-    """Number of unordered cell pairs at Manhattan distance 1."""
-    shape = set(cells)
-    count = 0
-    for i, j in shape:
-        if (i + 1, j) in shape:
-            count += 1
-        if (i, j + 1) in shape:
-            count += 1
-    return count
-
-
-def shape_perimeter(cells: Iterable[Cell]) -> int:
-    """Perimeter of the union of unit squares: 4c - 2e.  Shapes may be disconnected."""
-    shape = set(cells)
-    return 4 * len(shape) - 2 * shared_edge_count(shape)
 
 
 def min_perimeter(t: int) -> int:

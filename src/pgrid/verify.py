@@ -45,8 +45,8 @@ _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 _TRACE_M, _TRACE_N = 8, 5
 _TRACE_MAX_POLLUTION = 13
 # Largest sweeps accepted.  The construction rows grow about as the square of
-# the limit: 400 checks 189,796 rows, in ~12 s at a peak RSS of 81 MiB with
-# --csv and ~14 s at 140 MiB with --json on a 2-vCPU host, where 1,000 would
+# the limit: 400 checks 189,796 rows, in 8-10 s at a peak RSS of 81 MiB with
+# --csv and 9-12 s at 140 MiB with --json on a 2-vCPU host, where 1,000 would
 # check 1,401,085.  10,000 trace samples take ~1 s and 22 MiB.
 _MAX_CONSTRUCTION_MN = 400
 _MAX_TRACE_SAMPLES = 10_000

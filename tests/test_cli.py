@@ -50,6 +50,38 @@ def test_formula_domain_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (["mkmin", "-m", "8", "-n", "5", "-k", "8"], 0, "6\n", ""),
+        (["mkmin", "-m", "8", "-n", "5", "-k", "41"], 1, "", "error: need 0 <= k <= 40, got k=41\n"),
+        (["mkmin-lower", "-m", "8", "-n", "5", "-k", "22"], 0, "5\n", ""),
+        (["mkmin-lower", "-m", "8", "-n", "5", "-k", "40"], 1, "", "error: need 1 <= k < 40, got k=40\n"),
+        (["mkmin-remark", "-m", "8", "-n", "5", "-k", "8"], 0, "6\n", ""),
+        (
+            ["mkmin-remark", "-m", "8", "-n", "5", "-k", "16"],
+            1,
+            "",
+            "error: need 1 <= k <= (m-n)n = 15, got k=16\n",
+        ),
+        (["mkmax-lower", "-m", "8", "-n", "5", "-k", "9"], 0, "16\n", ""),
+        (
+            ["mkmax-lower", "-m", "8", "-n", "5", "-k", "10"],
+            1,
+            "",
+            "error: k=10 exceeds the independent interior capacity 9 of the 8x5 grid\n",
+        ),
+        (["grid", "-m", "8", "-n", "5"], 0, "7\n", ""),
+        (["grid", "-m", "1", "-n", "5"], 1, "", "error: need m, n >= 2, got m=1, n=5\n"),
+        (["torus", "-m", "8", "-n", "5"], 0, "6\n", ""),
+        (["torus", "-m", "2", "-n", "4"], 1, "", "error: need m, n >= 3, got m=2, n=4\n"),
+    ],
+)
+def test_formula_every_name_in_and_out_of_range(capsys, argv, code, out, err):
+    assert cli.run(["formula", *argv]) == code
+    assert capsys.readouterr() == (out, err)
+
+
 def test_construct_stdout_round_trips(capsys):
     assert cli.run(["construct", "-m", "8", "-n", "5", "-k", "8"]) == 0
     out = capsys.readouterr().out

@@ -2,21 +2,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from oracles import mask_of_cells, naive_extremal
+from oracles import mask_of_cells, naive_adjacent, naive_extremal
 from pgrid import (
+    CellSet,
     OutOfHypothesisError,
     ParameterError,
     construct_extremal,
     extremal_large_k,
     grid,
     is_percolating,
-    min_degree,
     mkmin,
-    neighbors,
     pollution_max_independent,
     pollution_small_k,
     seeds_small_k,
 )
+from pgrid.grid import Shifts
 
 
 @st.composite
@@ -163,18 +163,19 @@ def test_pollution_max_independent_validates_range():
 def test_pollution_max_independent_is_independent_and_interior(m, n, k):
     cap = ((m - 2) * (n - 2) + 1) // 2
     kk = k.draw(st.integers(1, cap))
-    spec = grid(m, n)
     cells = pollution_max_independent(m, n, kk)
     assert len(cells) == kk
     members = list(cells)
     for v in members:
         assert 2 <= v.i <= m - 1 and 2 <= v.j <= n - 1
-        assert len(neighbors(spec, v)) == 4
-        assert all(u not in cells for u in neighbors(spec, v))
+        assert not any(naive_adjacent(m, n, "grid", u, v) for u in members)
 
 
 def test_pollution_max_independent_min_degree():
     from pgrid import PollutedInstance
 
-    instance = PollutedInstance(grid(5, 5), pollution_max_independent(5, 5, 4))
-    assert min_degree(instance) == 1  # (3,2) keeps only (3,1)
+    spec = grid(5, 5)
+    residual = PollutedInstance(spec, pollution_max_independent(5, 5, 4)).residual.mask
+    at_least = Shifts.of(spec).at_least
+    assert residual & ~at_least(residual, 1) == 0
+    assert (3, 2) in CellSet(spec, residual & ~at_least(residual, 2))  # (3,2) keeps only (3,1)

@@ -113,6 +113,22 @@ def test_extremal_params_invariants(shape):
     assert 0 <= p.rem <= 2 * p.x
 
 
+def test_int_forms_match_the_values_rebuilt_from_the_public_view():
+    # mkmin and mkmin_lower_bound share no code with extremal_params: rebuild
+    # both branch values from the view, with ceil(ceil(2 sqrt t) / 2) = ceil(sqrt t)
+    for n in range(2, 13):
+        for m in range(n, 150 // n + 1):
+            for k in range(m * n + 1):
+                p = extremal_params(m, n, k)
+                small = (p.n + p.m - p.ell + 1) // 2
+                large = p.x + (p.rem > 0)
+                if p.branch is Branch.BOUNDARY:
+                    assert small == large, (m, n, k)
+                assert mkmin(m, n, k) == (small if p.branch is Branch.SMALL_K else large)
+                if 0 < k < m * n:
+                    assert mkmin_lower_bound(m, n, k) == (small if p.t > n * n else large)
+
+
 def test_mkmin_remark_form_examples():
     assert mkmin_remark_form(8, 5, 8) == 6
     assert mkmin_remark_form(6, 4, 4) == 5

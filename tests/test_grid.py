@@ -4,7 +4,6 @@ import pytest
 
 from pgrid import (
     CellSet,
-    EmptyGraphError,
     GridSpec,
     InvalidVertexError,
     ParameterError,
@@ -12,13 +11,11 @@ from pgrid import (
     Topology,
     Vertex,
     grid,
-    min_degree,
-    neighbors,
     torus,
 )
-from pgrid.grid import MAX_CELLS, _moved, _set_bits, _symmetries
+from pgrid.grid import MAX_CELLS, Shifts, _moved, _set_bits, _symmetries
 
-from oracles import EDGE_SHAPES, canonical_cells, naive_adjacent, naive_symmetries
+from oracles import EDGE_SHAPES, canonical_cells, mask_of_cells, naive_adjacent, naive_symmetries
 
 dims = st.integers(min_value=1, max_value=6)
 torus_dims = st.integers(min_value=3, max_value=6)
@@ -88,40 +85,31 @@ def test_index_rejects_outside_vertices():
     assert not spec.contains((4, 1))
 
 
-def test_neighbors_grid_examples():
-    spec = grid(3, 3)
-    assert neighbors(spec, (2, 2)) == [(2, 3), (2, 1), (1, 2), (3, 2)]
-    assert neighbors(spec, (1, 1)) == [(1, 2), (2, 1)]
-    with pytest.raises(InvalidVertexError):
-        neighbors(spec, (0, 0))
-
-
-def test_neighbors_torus_wraps_in_order():
-    assert neighbors(torus(3, 3), (1, 1)) == [(1, 2), (1, 3), (3, 1), (2, 1)]
+def _neighbor_masks(spec):
+    """The neighbors of each cell, as masks read off ``Shifts.at_least(cell, 1)``."""
+    shifts = Shifts.of(spec)
+    return [shifts.at_least(1 << p, 1) & shifts.full for p in range(spec.size)]
 
 
 @given(m=dims, n=dims)
 def test_grid_degree_sum(m, n):
-    spec = grid(m, n)
-    degrees = [len(neighbors(spec, v)) for v in spec.vertices()]
+    degrees = [q.bit_count() for q in _neighbor_masks(grid(m, n))]
     assert all(d <= 4 for d in degrees)
     assert sum(degrees) == 2 * (m * (n - 1) + n * (m - 1))
 
 
 @given(m=torus_dims, n=torus_dims)
 def test_torus_is_four_regular(m, n):
-    spec = torus(m, n)
-    assert all(len(neighbors(spec, v)) == 4 for v in spec.vertices())
+    assert all(q.bit_count() == 4 for q in _neighbor_masks(torus(m, n)))
 
 
 @given(m=dims, n=dims, wrap=st.booleans())
 def test_adjacency_is_symmetric(m, n, wrap):
     if wrap and (m < 3 or n < 3):
         m, n = max(m, 3), max(n, 3)
-    spec = torus(m, n) if wrap else grid(m, n)
-    for v in spec.vertices():
-        for u in neighbors(spec, v):
-            assert v in neighbors(spec, u)
+    masks = _neighbor_masks(torus(m, n) if wrap else grid(m, n))
+    for p, q in enumerate(masks):
+        assert all(masks[u] >> p & 1 for u in _set_bits(q))
 
 
 def test_cellset_iterates_in_canonical_order():
@@ -237,28 +225,34 @@ def test_polluted_instance_residual():
 
 
 def test_min_degree_examples():
-    assert min_degree(PollutedInstance.of(grid(3, 3), [])) == 2
-    assert min_degree(PollutedInstance.of(torus(4, 4), [])) == 4
-    assert min_degree(PollutedInstance.of(grid(3, 3), [(1, 2), (2, 1)])) == 0
+    # the least residual degree is the largest d whose at_least mask covers the residual
+    def min_degree(spec, polluted=()):
+        residual = PollutedInstance.of(spec, polluted).residual.mask
+        at_least = Shifts.of(spec).at_least
+        return next((d for d in (4, 3, 2, 1) if not residual & ~at_least(residual, d)), 0)
+
+    assert min_degree(grid(3, 3)) == 2
+    assert min_degree(torus(4, 4)) == 4
+    assert min_degree(grid(3, 3), [(1, 2), (2, 1)]) == 0
 
 
-@given(m=dims, n=dims, wrap=st.booleans(), data=st.data())
-def test_min_degree_matches_coordinate_adjacency(m, n, wrap, data):
+@given(shape=shapes, wrap=st.booleans(), data=st.data())
+def test_min_degree_matches_coordinate_adjacency(shape, wrap, data):
+    # at_least(residual, d) keeps exactly the residual cells with d or more
+    # residual neighbors, for every d, on grids and on tori
+    m, n = shape
     if wrap and (m < 3 or n < 3):
         m, n = max(m, 3), max(n, 3)
     spec = torus(m, n) if wrap else grid(m, n)
-    cells = [(v.i, v.j) for v in spec.vertices()]
-    residual = data.draw(st.sets(st.sampled_from(cells), min_size=1))
-    instance = PollutedInstance.of(spec, [c for c in cells if c not in residual])
     topology = spec.topology.value
-    degrees = [sum(1 for u in residual if naive_adjacent(m, n, topology, u, v)) for v in residual]
-    assert min_degree(instance) == min(degrees)
-
-
-def test_min_degree_needs_a_residual_vertex():
-    spec = grid(2, 2)
-    with pytest.raises(EmptyGraphError):
-        min_degree(PollutedInstance(spec, CellSet.full(spec)))
+    cells = canonical_cells(m, n)
+    residual = data.draw(st.sets(st.sampled_from(cells)))
+    mask = mask_of_cells(m, n, residual)
+    at_least = Shifts.of(spec).at_least
+    degree = {v: sum(naive_adjacent(m, n, topology, u, v) for u in residual) for v in residual}
+    for d in range(1, 5):
+        expected = {v for v in residual if degree[v] >= d}
+        assert set(CellSet(spec, mask & at_least(mask, d))) == expected, d
 
 
 @pytest.mark.parametrize("m,n", [(1, 4), (4, 1), (2, 3), (3, 2), (3, 3), (4, 4), (5, 3)])

@@ -16,7 +16,6 @@ PUBLIC = [
     "CellSet",
     "CheckRow",
     "DEFAULT_NODE_BUDGET",
-    "EmptyGraphError",
     "ExtremalParams",
     "ExtremalWitness",
     "GridSpec",
@@ -41,7 +40,6 @@ PUBLIC = [
     "grid",
     "independent_interior_capacity",
     "is_percolating",
-    "min_degree",
     "min_percolating_exact",
     "min_perimeter",
     "min_perimeter_height_bounded",
@@ -52,7 +50,6 @@ PUBLIC = [
     "mkmin_exact",
     "mkmin_lower_bound",
     "mkmin_remark_form",
-    "neighbors",
     "parse_instance",
     "percolate",
     "percolation_number_grid",
@@ -62,8 +59,6 @@ PUBLIC = [
     "pollution_small_k",
     "render_trace",
     "seeds_small_k",
-    "shape_perimeter",
-    "shared_edge_count",
     "torus",
     "verify_monotonicity",
     "verify_perimeter",
