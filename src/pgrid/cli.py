@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .constructions import construct_extremal
@@ -99,9 +100,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_percolate(args: argparse.Namespace) -> int:
     instance, seeds = parse_instance(Path(args.file).read_text())
     trace = percolate(instance, seeds, args.r)
-    if args.render:
-        sys.stdout.write(render_trace(trace, args.render))
-    elif args.json:
+    if args.json:
         payload = {
             "percolated": trace.percolated,
             "round_count": trace.round_count,
@@ -123,17 +122,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     instance, _ = parse_instance(Path(args.file).read_text())
     result = min_percolating_exact(instance, args.r, args.budget)
     if args.json:
-        payload = {
-            "size": result.size,
-            "witness": _vertex_list(result.witness),
-            "nodes_explored": result.nodes_explored,
-            "start_bound": result.start_bound,
-            "forced": result.forced,
-            "level_nodes": list(result.level_nodes),
-            "suffix_prunes": result.suffix_prunes,
-            "perimeter_prunes": result.perimeter_prunes,
-            "symmetry_prunes": result.symmetry_prunes,
-        }
+        payload = {field.name: getattr(result, field.name) for field in fields(result)}
+        payload["witness"] = _vertex_list(result.witness)
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"size: {result.size}")
@@ -210,9 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("percolate", help="run the infection process on a board file")
     p.add_argument("file")
     p.add_argument("-r", type=int, default=2, help="infection threshold (default 2)")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--render", choices=("ascii", "svg"), help="print frames instead of a summary")
-    group.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_percolate)
 
     p = sub.add_parser("search", help="exact minimum percolating set of a board file")

@@ -6,10 +6,10 @@ For large k the residual is kept as close to a square as possible and seeded
 the same way.  One builder, ``_extremal_masks``, makes both masks of every
 branch by index arithmetic, with no coordinate lists, and the public
 constructors wrap it.  For the worst-pollution lower bound the polluted set is
-an independent set of interior degree-4 vertices.  Every witness returned here
-is re-checked with the engine before it leaves this module; ``verify
-theorem1`` takes the masks from the builder and closes each witness itself,
-on one set of shift constants per board.
+an independent set of interior degree-4 vertices.  One check,
+``_checked_masks``, counts a witness's cells and closes it once; every witness
+returned here passes it, and so does every construction row of ``verify
+theorem1``, on one set of shift constants per board.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .engine import is_percolating
+from .engine import closure_mask
 from .errors import InternalConsistencyError, OutOfHypothesisError, ParameterError
-from .formulas import _check_grid_shape, independent_interior_capacity, mkmin
-from .grid import CellSet, GridSpec, PollutedInstance, grid
+from .formulas import _check_grid_shape, _check_small_k, independent_interior_capacity, mkmin
+from .grid import CellSet, GridSpec, PollutedInstance, Shifts, grid
 
 
 @dataclass(frozen=True)
@@ -89,36 +89,33 @@ def _extremal_masks(spec: GridSpec, k: int) -> tuple[int, int]:
     return full ^ residual, _alternating_path_seeds(spec, cols, rows)
 
 
-def _check_small_k(m: int, n: int, k: int) -> GridSpec:
-    _check_grid_shape(m, n)
-    if not 1 <= k <= (m - n) * n:
-        raise ParameterError(f"need 1 <= k <= (m-n)n = {(m - n) * n}, got k={k}")
-    return grid(m, n)
-
-
 def pollution_small_k(m: int, n: int, k: int) -> CellSet:
     """The last floor(k/n) full columns plus leftovers down the next column's top."""
-    spec = _check_small_k(m, n, k)
+    _check_small_k(m, n, k)
+    spec = grid(m, n)
     return CellSet(spec, _extremal_masks(spec, k)[0])
 
 
 def seeds_small_k(m: int, n: int, k: int) -> CellSet:
     """Alternating seeds along column 1 and row 1 of the surviving m-ell columns."""
-    spec = _check_small_k(m, n, k)
+    _check_small_k(m, n, k)
+    spec = grid(m, n)
     return CellSet(spec, _extremal_masks(spec, k)[1])
 
 
-def _verified_witness(m: int, n: int, k: int) -> ExtremalWitness:
-    spec = grid(m, n)
-    polluted, seed_mask = _extremal_masks(spec, k)
-    instance = PollutedInstance(spec, CellSet(spec, polluted))
-    seeds = CellSet(spec, seed_mask)
-    expected = mkmin(m, n, k)
-    if instance.k != k or len(seeds) != expected or not is_percolating(instance, seeds, 2):
+def _checked_masks(spec: GridSpec, shifts: Shifts, k: int, expected: int) -> tuple[int, int]:
+    """The masks of :func:`_extremal_masks`, checked: k polluted cells, ``expected``
+    seeds, and one closure that infects the whole residual, or InternalConsistencyError."""
+    polluted, seeds = _extremal_masks(spec, k)
+    if (
+        polluted.bit_count() != k
+        or seeds.bit_count() != expected
+        or closure_mask(shifts, polluted, seeds, 2) != shifts.full ^ polluted
+    ):
         raise InternalConsistencyError(
-            f"witness for m={m}, n={n}, k={k} failed verification"
+            f"witness for m={spec.m}, n={spec.n}, k={k} failed verification"
         )
-    return ExtremalWitness(instance, seeds, expected)
+    return polluted, seeds
 
 
 def extremal_large_k(m: int, n: int, k: int) -> ExtremalWitness:
@@ -132,15 +129,16 @@ def extremal_large_k(m: int, n: int, k: int) -> ExtremalWitness:
     pivot = (m - n) * n
     if not pivot <= k <= m * n:
         raise ParameterError(f"need (m-n)n = {pivot} <= k <= {m * n}, got k={k}")
-    return _verified_witness(m, n, k)
+    return construct_extremal(m, n, k)
 
 
 def construct_extremal(m: int, n: int, k: int) -> ExtremalWitness:
     """Engine-verified witness for any admissible k, dispatching on the branch."""
-    _check_grid_shape(m, n)
-    if not 0 <= k <= m * n:
-        raise ParameterError(f"need 0 <= k <= {m * n}, got k={k}")
-    return _verified_witness(m, n, k)
+    expected = mkmin(m, n, k)  # checks 2 <= n <= m and 0 <= k <= mn
+    spec = grid(m, n)
+    polluted, seeds = _checked_masks(spec, Shifts.of(spec), k, expected)
+    instance = PollutedInstance(spec, CellSet(spec, polluted))
+    return ExtremalWitness(instance, CellSet(spec, seeds), expected)
 
 
 def pollution_max_independent(m: int, n: int, k: int) -> CellSet:

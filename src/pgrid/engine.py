@@ -9,6 +9,9 @@ one step in each direction, the four shifted masks give the cells with at
 least r infected neighbors, and the healthy ones among them join.  A round
 is a fixed number of O(mn / word size) big-int operations, so a closure
 costs O(rounds * mn / word size), at most O(mn^2 / word size).
+
+Every closure runs through :func:`closure_mask`, which :func:`percolate` and
+:func:`is_percolating` call once they have checked their inputs.
 """
 
 from __future__ import annotations
@@ -46,12 +49,13 @@ def _check_inputs(instance: PollutedInstance, seeds: CellSet, r: int) -> None:
         raise InvariantError("seeds must avoid polluted vertices")
 
 
-def _closure(
-    shifts: Shifts, blocked: int, seed_mask: int, r: int, rounds: list[int] | None
+def closure_mask(
+    shifts: Shifts, blocked: int, seed_mask: int, r: int, rounds: list[int] | None = None
 ) -> int:
-    """Run the closure on raw bitmasks; ``blocked`` marks polluted cells.
+    """The closure of ``seed_mask`` on raw bitmasks, ``blocked`` marking polluted cells.
 
-    Each round's newly infected mask is appended to ``rounds`` if given.
+    No validation: tight search loops call it directly.  Each round's newly
+    infected mask is appended to ``rounds`` if given.
     """
     infected = seed_mask
     healthy = shifts.full & ~(blocked | seed_mask)
@@ -65,17 +69,12 @@ def _closure(
             rounds.append(new)
 
 
-def closure_mask(shifts: Shifts, blocked: int, seed_mask: int, r: int) -> int:
-    """Raw-bitmask closure for tight search loops; no validation, no trace."""
-    return _closure(shifts, blocked, seed_mask, r, None)
-
-
 def percolate(instance: PollutedInstance, seeds: CellSet, r: int = 2) -> PercolationTrace:
     """Run the process to its fixpoint and return the full trace."""
     _check_inputs(instance, seeds, r)
     spec = instance.spec
     round_masks = [seeds.mask]
-    final_mask = _closure(Shifts.of(spec), instance.polluted.mask, seeds.mask, r, round_masks)
+    final_mask = closure_mask(Shifts.of(spec), instance.polluted.mask, seeds.mask, r, round_masks)
     return PercolationTrace(
         instance=instance,
         rounds=tuple(CellSet(spec, mask) for mask in round_masks),
@@ -88,5 +87,5 @@ def percolate(instance: PollutedInstance, seeds: CellSet, r: int = 2) -> Percola
 def is_percolating(instance: PollutedInstance, seeds: CellSet, r: int = 2) -> bool:
     """True iff the closure infects every residual vertex.  Skips trace bookkeeping."""
     _check_inputs(instance, seeds, r)
-    final_mask = _closure(Shifts.of(instance.spec), instance.polluted.mask, seeds.mask, r, None)
+    final_mask = closure_mask(Shifts.of(instance.spec), instance.polluted.mask, seeds.mask, r)
     return final_mask == instance.residual.mask

@@ -80,7 +80,7 @@ def write_instance(instance: PollutedInstance, seeds: CellSet | None = None) -> 
         seeds = CellSet(spec)
     if seeds.spec != spec:
         raise ParameterError("seed set belongs to a different board")
-    if seeds & instance.polluted:
+    if seeds.mask & instance.polluted.mask:
         raise InvariantError("a seed on a polluted cell cannot be represented")
 
     canvas = bytearray(CH_HEALTHY * spec.size, "ascii")

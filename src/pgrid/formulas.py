@@ -56,6 +56,12 @@ def _check_args(m: int, n: int, k: int) -> None:
         raise ParameterError(f"need 0 <= k <= {m * n}, got k={k}")
 
 
+def _check_small_k(m: int, n: int, k: int) -> None:
+    _check_grid_shape(m, n)
+    if not 1 <= k <= (m - n) * n:
+        raise ParameterError(f"need 1 <= k <= (m-n)n = {(m - n) * n}, got k={k}")
+
+
 def extremal_params(m: int, n: int, k: int) -> ExtremalParams:
     _check_args(m, n, k)
     pivot = (m - n) * n
@@ -109,9 +115,7 @@ def mkmin_remark_form(m: int, n: int, k: int) -> int:
     With ell = floor(k/n): subtract floor(ell/2) when m+n is even and
     floor((ell+1)/2) when m+n is odd.  Agrees with :func:`mkmin` on its range.
     """
-    _check_grid_shape(m, n)
-    if not 1 <= k <= (m - n) * n:
-        raise ParameterError(f"need 1 <= k <= (m-n)n = {(m - n) * n}, got k={k}")
+    _check_small_k(m, n, k)
     ell = k // n
     base = percolation_number_grid(m, n)
     if (m + n) % 2 == 0:

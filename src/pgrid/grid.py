@@ -198,26 +198,6 @@ class CellSet:
     def __bool__(self) -> bool:
         return self.mask != 0
 
-    def _check_same_board(self, other: "CellSet") -> None:
-        if self.spec != other.spec:
-            raise ParameterError("cell sets belong to different boards")
-
-    def __or__(self, other: "CellSet") -> "CellSet":
-        self._check_same_board(other)
-        return CellSet(self.spec, self.mask | other.mask)
-
-    def __and__(self, other: "CellSet") -> "CellSet":
-        self._check_same_board(other)
-        return CellSet(self.spec, self.mask & other.mask)
-
-    def __sub__(self, other: "CellSet") -> "CellSet":
-        self._check_same_board(other)
-        return CellSet(self.spec, self.mask & ~other.mask)
-
-    def issubset(self, other: "CellSet") -> bool:
-        self._check_same_board(other)
-        return self.mask & ~other.mask == 0
-
     def complement(self) -> "CellSet":
         return CellSet(self.spec, ((1 << self.spec.size) - 1) ^ self.mask)
 

@@ -5,7 +5,8 @@ digits 1-9 (then '+') for the round a cell was infected, '.' not yet or
 never infected.  SVG emits the board once with one group per round carrying
 the same information.  Tori are drawn as flat boards with a wrap annotation.
 ASCII paints each round once into one canvas and slices every frame from
-it, so it is linear in its output.  SVG decodes each round's mask once with
+it, so it is linear in its output, and it refuses a trace of more than
+``_MAX_ASCII_CELLS`` cells in all frames.  SVG decodes each round's mask once with
 :func:`grid._set_bits`: one C-level pass over the board's size/8 bytes plus
 a Python step per cell drawn.  Its output is linear in the cells drawn, so
 on a large board a trace of many sparse rounds (the clean 150x150 board has
@@ -18,6 +19,9 @@ from .engine import PercolationTrace
 from .errors import ParameterError
 from .grid import Topology, _paint, _rows, _set_bits
 
+#: Largest ASCII trace, in cells over all (rounds + 1) frames: the clean 300x300
+#: board's 598 frames draw 53.8M, where the clean 1024x1024 board's need gigabytes.
+_MAX_ASCII_CELLS = 2**26
 _CELL_PX = 20
 _POLLUTED_FILL = "#404040"
 _BOARD_FILL = "#f2f2f2"
@@ -43,6 +47,12 @@ def _header(trace: PercolationTrace) -> str:
 
 def _render_ascii(trace: PercolationTrace) -> str:
     spec = trace.instance.spec
+    cells = (trace.round_count + 1) * spec.size
+    if cells > _MAX_ASCII_CELLS:
+        raise ParameterError(
+            f"an ascii trace of {spec.m}x{spec.n} in {trace.round_count + 1} frames "
+            f"draws {cells} cells, above {_MAX_ASCII_CELLS}; use --style svg"
+        )
     canvas = bytearray(b"." * spec.size)
     _paint(canvas, trace.instance.polluted.mask, "X")
     lines = [_header(trace)]

@@ -156,10 +156,12 @@ class _Budget:
     up over all of them.
     """
 
-    __slots__ = (
-        "limit", "used", "level", "start_bound", "forced", "level_nodes",
-        "suffix_prunes", "perimeter_prunes", "symmetry_prunes",
+    #: the work counts that SearchResult and BudgetExceededError both carry
+    WORK = (
+        "start_bound", "forced", "level_nodes", "suffix_prunes", "perimeter_prunes",
+        "symmetry_prunes",
     )
+    __slots__ = ("limit", "used", "level") + WORK
 
     def __init__(self, limit: int):
         if limit < 1:
@@ -169,7 +171,7 @@ class _Budget:
         self.level = 0
         self.start_bound = 0
         self.forced = 0
-        self.level_nodes: list[int] = []
+        self.level_nodes: tuple[int, ...] = ()
         self.suffix_prunes = 0
         self.perimeter_prunes = 0
         self.symmetry_prunes = 0
@@ -178,6 +180,10 @@ class _Budget:
         self.used += 1
         if self.used > self.limit:
             raise _OutOfBudget
+
+    def work(self) -> dict[str, object]:
+        """The :attr:`WORK` counts by name."""
+        return {name: getattr(self, name) for name in self.WORK}
 
 
 #: the cells a search node may add, as a mask, and the maps that fix the cells
@@ -224,11 +230,12 @@ def _min_search(
 
     The seed sizes run up from the start bound: ceil(phi_r / 2r), which is
     :meth:`Shifts.seed_floor`, or the forced count or 1 if larger.  Each is one
-    depth-first search over the free cells ``free`` in lexicographic order: a
-    node is a partial seed with ``k`` cells left to choose, and its child
-    ``j`` adds ``free[j]``, for ascending j above the last cell the node
-    holds.  After the first level, a child must also be a cell that the maps
-    of :func:`_group` fixing every cell the node chose send to no lower index.
+    depth-first search over the free cells ``cells``, ascending: a node is a
+    partial seed with ``k`` cells left to choose, and its child ``j`` adds
+    ``cells[j]``, for ascending j above the last cell the node holds.  After the
+    first level, a child must also be a cell that the maps of :func:`_group`
+    fixing every cell the node chose send to no lower index.  A mask of free
+    cells is made only when used: a table of them would take O(t^2) bits.
     """
     closure = closure_mask
     perimeter = shifts.perimeter
@@ -243,15 +250,12 @@ def _min_search(
     hi = t if cap is None else min(cap, t)
     bud.start_bound = lo
     bud.forced = n_forced
-    bud.level_nodes = []
+    bud.level_nodes = ()
     if lo > hi:
         return None, None
-    free = [1 << v for v in _set_bits(residual ^ forced)]
-    last = len(free)
-    # suffix[j] holds the free cells from j on
-    suffix = [0] * (last + 1)
-    for j in range(last - 1, -1, -1):
-        suffix[j] = suffix[j + 1] | free[j]
+    rest = residual ^ forced
+    cells = list(_set_bits(rest))
+    last = len(cells)
     # phi_r >= 0 for r >= 2, so no node is cut unless phi_r(residual) > 2r
     if r < 2 or target <= reach:
         target = None
@@ -306,34 +310,36 @@ def _min_search(
                         stabs.pop()
                     continue
                 nexts[d] = j + 1
-                if stabs and not free[j] & stabs[d][0]:
+                v = cells[j]
+                if stabs and not stabs[d][0] >> v & 1:
                     bud.symmetry_prunes += 1
                     continue
                 base = bases[d]
+                cell = 1 << v
                 if k == 1:
                     bud.tick()
-                    if closure(shifts, blocked, base | free[j], r) == residual:
-                        return s, seeds[d] | free[j]
+                    if closure(shifts, blocked, base | cell, r) == residual:
+                        return s, seeds[d] | cell
                     continue
                 if j > (nexts[d - 1] if d else 0):
                     bud.tick()
-                    if closure(shifts, blocked, base | suffix[j], r) != residual:
+                    # the free cells from j on
+                    if closure(shifts, blocked, base | rest >> v << v, r) != residual:
                         bud.suffix_prunes += 1
                         nexts[d] = last  # no child left: the next pass pops the node
                         continue
-                base |= free[j]
+                base |= cell
                 if target is not None:
                     base = gap_cut(base, k - 1)
                     if base is None:
                         continue
-                seeds.append(seeds[d] | free[j])
+                seeds.append(seeds[d] | cell)
                 bases.append(base)
                 nexts.append(j + 1)
                 if stabs:
-                    v = free[j].bit_length() - 1
                     stabs.append(_stabilizer([q for q in stabs[d][1] if q[v] == v]))
         finally:
-            bud.level_nodes.append(bud.used - used)
+            bud.level_nodes += (bud.used - used,)
     return None, None
 
 
@@ -358,25 +364,10 @@ def min_percolating_exact(
             nodes=bud.used,
             lower_bound=bud.level,
             upper_bound=residual.bit_count(),
-            start_bound=bud.start_bound,
-            forced=bud.forced,
-            level_nodes=tuple(bud.level_nodes),
-            suffix_prunes=bud.suffix_prunes,
-            perimeter_prunes=bud.perimeter_prunes,
-            symmetry_prunes=bud.symmetry_prunes,
+            **bud.work(),
         ) from None
     assert size is not None and witness_mask is not None
-    return SearchResult(
-        size,
-        CellSet(spec, witness_mask),
-        bud.used,
-        bud.start_bound,
-        bud.forced,
-        tuple(bud.level_nodes),
-        bud.suffix_prunes,
-        bud.perimeter_prunes,
-        bud.symmetry_prunes,
-    )
+    return SearchResult(size, CellSet(spec, witness_mask), bud.used, **bud.work())
 
 
 def _sweep_setup(m: int, n: int, k: int, r: int):
@@ -452,33 +443,20 @@ def _pollutions(shifts: Shifts, k: int, limit: list[int]):
         stack.append((p + 1, healthy, left - 1, counted + west + north))
 
 
-class _Orbits:
-    """Picks one pollution per orbit of the grid's automorphism group.
+def _orbit_least(tables: list[tuple[int, ...]], combo: tuple[int, ...]) -> bool:
+    """Whether no image of the nonempty sorted ``combo`` under ``tables`` sorts before it.
 
     Every automorphism maps a pollution onto one with the same percolation
-    number, so a sweep need search only the least member of each orbit.  The
-    sweeps meet pollutions in lexicographic order, so the first member of an
-    orbit they meet is that least one, and the very first pollution needs no
-    test.  The tables are built on the first test.
+    number, so a sweep need search only the least member of each orbit of
+    :func:`grid._symmetries`.  The sweeps meet pollutions in lexicographic
+    order, so the first member of an orbit they meet is that least one.
     """
-
-    __slots__ = ("m", "n", "tables")
-
-    def __init__(self, m: int, n: int):
-        self.m = m
-        self.n = n
-        self.tables: list[tuple[int, ...]] | None = None
-
-    def least(self, combo: tuple[int, ...]) -> bool:
-        """Whether no image of the nonempty sorted ``combo`` sorts before it."""
-        if self.tables is None:
-            self.tables = _symmetries(self.m, self.n)
-        first = combo[0]
-        for q in self.tables:
-            low = min(map(q.__getitem__, combo))
-            if low < first or low == first and tuple(sorted(map(q.__getitem__, combo))) < combo:
-                return False
-        return True
+    first = combo[0]
+    for q in tables:
+        low = min(map(q.__getitem__, combo))
+        if low < first or low == first and tuple(sorted(map(q.__getitem__, combo))) < combo:
+            return False
+    return True
 
 
 def _compact_residual(m: int, n: int, t: int) -> int:
@@ -540,11 +518,11 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
         best, _ = _min_search(shifts, shifts.full ^ residual, residual, r, None, bud)
         assert best is not None
         if k and best > floor:
-            orbits = _Orbits(m, n)
+            tables = _symmetries(m, n)
             # a residual of perimeter above this needs best seeds or more
             limit = [reach * (best - 1) - (reach - 4) * t]
             for combo, amask, residual in _pollutions(shifts, k, limit):
-                if not orbits.least(combo):
+                if not _orbit_least(tables, combo):
                     continue
                 size, _ = _min_search(shifts, amask, residual, r, best - 1, bud)
                 if size is not None:
@@ -577,7 +555,7 @@ def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     if t == 0:
         return 0
     bud = _Budget(budget)
-    orbits = _Orbits(m, n)
+    tables = _symmetries(m, n)
     best: int | None = None
     recent: deque[int] = deque(maxlen=8)
 
@@ -592,7 +570,7 @@ def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
 
     try:
         for combo, amask, residual in _pollutions(shifts, k, [4 * spec.size]):
-            if best is not None and (not orbits.least(combo) or covered(amask, residual)):
+            if best is not None and (not _orbit_least(tables, combo) or covered(amask, residual)):
                 continue
             size, witness = _min_search(shifts, amask, residual, r, None, bud)
             assert size is not None and witness is not None

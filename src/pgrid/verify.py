@@ -23,9 +23,9 @@ from math import isqrt
 from operator import ne
 from typing import Iterator
 
-from .constructions import _extremal_masks, pollution_max_independent
-from .engine import closure_mask, percolate
-from .errors import BudgetExceededError, ParameterError
+from .constructions import _checked_masks, pollution_max_independent
+from .engine import percolate
+from .errors import BudgetExceededError, InternalConsistencyError, ParameterError
 from .formulas import (
     ceil_two_sqrt,
     independent_interior_capacity,
@@ -45,8 +45,8 @@ _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 _TRACE_M, _TRACE_N = 8, 5
 _TRACE_MAX_POLLUTION = 13
 # Largest sweeps accepted.  The construction rows grow about as the square of
-# the limit: 400 checks 189,796 rows, in 8-10 s at a peak RSS of 81 MiB with
-# --csv and 9-12 s at 140 MiB with --json on a 2-vCPU host, where 1,000 would
+# the limit: 400 checks 189,796 rows, in 8-9 s at a peak RSS of 81 MiB with
+# --csv and 9-10 s at 139 MiB with --json on a 2-vCPU host, where 1,000 would
 # check 1,401,085.  10,000 trace samples take ~1 s and 22 MiB.
 _MAX_CONSTRUCTION_MN = 400
 _MAX_TRACE_SAMPLES = 10_000
@@ -213,20 +213,15 @@ def verify_theorem1(max_mn_exhaustive: int, max_mn_construction: int) -> SuiteRe
             expected = mkmin(m, n, k)
             note = ""
             actual: object
-            # the checks construct_extremal makes, on masks and this board's shifts
-            polluted, seeds = _extremal_masks(spec, k)
-            residual = shifts.full ^ polluted
-            if (
-                polluted.bit_count() != k
-                or seeds.bit_count() != expected
-                or closure_mask(shifts, polluted, seeds, 2) != residual
-            ):
-                actual = f"construction failed: witness for m={m}, n={n}, k={k} failed verification"
+            try:
+                polluted, _ = _checked_masks(spec, shifts, k, expected)
+            except InternalConsistencyError as exc:
+                actual = f"construction failed: {exc}"
                 ok = False
             else:
                 actual = expected
                 ok = True
-                bound = shifts.seed_floor(residual, 2)
+                bound = shifts.seed_floor(shifts.full ^ polluted, 2)
                 if bound > expected:
                     ok = False
                     note = f"perimeter bound {bound} exceeds the formula value"

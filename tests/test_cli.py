@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import pgrid.cli as cli
+import pgrid.render as render
 from pgrid import CheckRow, SuiteReport, parse_instance
 
 
@@ -133,14 +134,6 @@ def test_percolate_json(board, capsys):
     assert payload["final"] == payload["residual"] == 16
     assert len(payload["rounds"]) == 6
     assert payload["rounds"][0] == [[1, 4], [1, 2], [2, 1], [4, 1]]
-
-
-def test_percolate_render_flag(board, capsys):
-    assert cli.run(["percolate", str(board), "--render", "ascii"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("grid 8x5\nround 0:\n")
-    assert out.endswith("percolated: true\n")
-    assert cli.run(["percolate", str(board), "--render", "ascii", "--json"]) == 2
 
 
 def test_search_json(board, capsys):
@@ -291,6 +284,19 @@ def test_render_stdout_and_file(board, tmp_path, capsys):
     assert cli.run(["render", str(board), "--style", "svg", "-o", str(target)]) == 0
     assert target.read_text().startswith("<svg ")
     assert capsys.readouterr().out == ""
+
+
+def test_render_refuses_an_ascii_trace_above_the_cap(board, tmp_path, monkeypatch, capsys):
+    # the 8x5 board's trace has 6 frames of 40 cells
+    monkeypatch.setattr(render, "_MAX_ASCII_CELLS", 6 * 40 - 1)
+    assert cli.run(["render", str(board)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: an ascii trace of 8x5 in 6 frames draws 240 cells, above 239; use --style svg\n"
+    )
+    target = tmp_path / "trace.svg"
+    assert cli.run(["render", str(board), "--style", "svg", "-o", str(target)]) == 0
 
 
 def test_oversized_board_is_a_prompt_domain_error(capsys):

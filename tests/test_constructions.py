@@ -112,7 +112,7 @@ def test_construct_extremal_is_engine_verified_and_tight(case):
     witness = construct_extremal(m, n, k)
     assert witness.instance.k == k
     assert len(witness.seeds) == witness.claimed_size == mkmin(m, n, k)
-    assert not (witness.seeds & witness.instance.polluted)
+    assert not witness.seeds.mask & witness.instance.polluted.mask
     assert all(v.i == 1 or v.j == 1 for v in witness.seeds)
 
 

@@ -140,7 +140,7 @@ def test_write_rejects_foreign_seed_board():
 def test_round_trip_identity(m, n, polluted_bits, seed_bits):
     spec = grid(m, n)
     polluted = CellSet(spec, polluted_bits % (1 << spec.size))
-    seeds = CellSet(spec, seed_bits % (1 << spec.size)) - polluted
+    seeds = CellSet(spec, seed_bits % (1 << spec.size) & ~polluted.mask)
     instance = PollutedInstance(spec, polluted)
     parsed, parsed_seeds = parse_instance(write_instance(instance, seeds))
     assert parsed == instance

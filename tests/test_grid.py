@@ -173,20 +173,22 @@ def test_cellset_operators():
     spec = grid(2, 2)
     a = CellSet.from_vertices(spec, [(1, 1), (2, 2)])
     b = CellSet.from_vertices(spec, [(2, 2), (2, 1)])
-    assert set(a | b) == {(1, 1), (2, 1), (2, 2)}
-    assert set(a & b) == {(2, 2)}
-    assert set(a - b) == {(1, 1)}
-    assert a.issubset(CellSet.full(spec))
-    assert not a.issubset(b)
+    assert set(CellSet(spec, a.mask | b.mask)) == {(1, 1), (2, 1), (2, 2)}
+    assert set(CellSet(spec, a.mask & b.mask)) == {(2, 2)}
+    assert set(CellSet(spec, a.mask & ~b.mask)) == {(1, 1)}
+    assert a.mask & ~CellSet.full(spec).mask == 0
+    assert a.mask & ~b.mask != 0
     assert set(a.complement()) == {(2, 1), (1, 2)}
     assert bool(CellSet(spec)) is False
 
 
 def test_cellset_rejects_foreign_boards_and_bad_masks():
-    a = CellSet.from_vertices(grid(2, 2), [(1, 1)])
-    b = CellSet.from_vertices(grid(3, 2), [(1, 1)])
+    # the top-left cell has mask 1 on either board, yet the sets differ
+    a = CellSet.from_vertices(grid(2, 2), [(1, 2)])
+    b = CellSet.from_vertices(grid(3, 2), [(1, 2)])
+    assert a.mask == b.mask == 1 and a != b
     with pytest.raises(ParameterError):
-        a | b
+        PollutedInstance(grid(3, 2), a)
     with pytest.raises(ParameterError):
         CellSet(grid(2, 2), 1 << 4)
     with pytest.raises(InvalidVertexError):
@@ -210,8 +212,8 @@ def test_cellset_complement_partitions_board(m, n, bits):
     spec = grid(m, n)
     cells = CellSet(spec, bits % (1 << spec.size))
     assert len(cells) + len(cells.complement()) == spec.size
-    assert (cells | cells.complement()) == CellSet.full(spec)
-    assert not (cells & cells.complement())
+    assert cells.mask | cells.complement().mask == CellSet.full(spec).mask
+    assert not cells.mask & cells.complement().mask
 
 
 def test_polluted_instance_residual():

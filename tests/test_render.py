@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+import pgrid.render as render
 from pgrid import (
     CellSet,
     ParameterError,
     PollutedInstance,
+    construct_extremal,
     grid,
     parse_instance,
     percolate,
@@ -198,3 +200,20 @@ def test_svg_matches_a_document_built_cell_by_cell(m, n, topology, polluted, see
     spec = _spec(m, n, topology)
     trace = percolate(PollutedInstance.of(spec, polluted), CellSet.from_vertices(spec, seeds), 1)
     assert render_trace(trace, "svg") == _svg_from_cells(m, n, topology, set(polluted), rounds, percolated)
+
+
+def test_ascii_cap_counts_every_frame(monkeypatch):
+    trace = percolate(PollutedInstance.of(grid(4, 3)), construct_extremal(4, 3, 0).seeds)
+    assert trace.round_count > 1
+    cells = (trace.round_count + 1) * 12
+    monkeypatch.setattr(render, "_MAX_ASCII_CELLS", cells)
+    assert render_trace(trace).endswith("percolated: true\n")
+    monkeypatch.setattr(render, "_MAX_ASCII_CELLS", cells - 1)
+    with pytest.raises(ParameterError, match="use --style svg"):
+        render_trace(trace)
+    assert render_trace(trace, "svg").endswith("</svg>\n")
+
+
+def test_ascii_cap_admits_the_clean_300x300_trace():
+    trace = percolate(PollutedInstance.of(grid(300, 300)), construct_extremal(300, 300, 0).seeds)
+    assert (trace.round_count + 1) * 300 * 300 <= render._MAX_ASCII_CELLS

@@ -5,6 +5,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import tracemalloc
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,8 +29,8 @@ from pgrid import (
 )
 from pgrid import search
 from pgrid.engine import closure_mask
-from pgrid.grid import Shifts
-from pgrid.search import _fixed_polyominoes, _Orbits, _pollutions
+from pgrid.grid import Shifts, _symmetries
+from pgrid.search import _fixed_polyominoes, _orbit_least, _pollutions
 
 from oracles import (
     canonical_cells,
@@ -197,6 +198,20 @@ def test_budget_error_counts_the_partial_last_level(budget):
     assert err.lower_bound == done.start_bound + len(err.level_nodes) - 1
     assert err.suffix_prunes <= done.suffix_prunes
     assert err.symmetry_prunes <= done.symmetry_prunes
+
+
+def test_search_memory_is_linear_in_the_board():
+    # a mask per free cell and per suffix of them would take O(t^2) bits:
+    # the clean 200x200 grid then reached a tracemalloc peak of 308 MiB
+    instance = PollutedInstance.of(grid(200, 200))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            min_percolating_exact(instance, budget=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_deep_level_needs_no_recursion():
@@ -461,8 +476,9 @@ def test_one_pollution_per_orbit_is_searched(m, n, k):
     orbits = set()
     for a in combinations(canonical_cells(m, n), k):
         orbits.add(frozenset(frozenset(g[c] for c in a) for g in group))
-    least = _Orbits(m, n).least
-    assert sum(map(least, combinations(range(m * n), k))) == len(orbits)
+    tables = _symmetries(m, n)
+    least = [_orbit_least(tables, combo) for combo in combinations(range(m * n), k)]
+    assert sum(least) == len(orbits)
 
 
 @pytest.mark.parametrize(

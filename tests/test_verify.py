@@ -6,10 +6,12 @@ import time
 import pytest
 
 import pgrid.cli as cli
+import pgrid.constructions as constructions
 import pgrid.verify as verify_module
 from pgrid import (
     CSV_COLUMNS,
     CheckRow,
+    InternalConsistencyError,
     ParameterError,
     SuiteReport,
     construct_extremal,
@@ -121,7 +123,7 @@ def _lowest(mask, count):
     ids=["seed-dropped", "seed-added", "cell-freed", "seeds-moved"],
 )
 def test_a_broken_construction_fails_its_own_row(breach, monkeypatch, capsys):
-    build = verify_module._extremal_masks
+    build = constructions._extremal_masks
 
     def broken(spec, k):
         polluted, seeds = build(spec, k)
@@ -129,7 +131,10 @@ def test_a_broken_construction_fails_its_own_row(breach, monkeypatch, capsys):
             return breach((1 << spec.size) - 1, polluted, seeds)
         return polluted, seeds
 
-    monkeypatch.setattr(verify_module, "_extremal_masks", broken)
+    monkeypatch.setattr(constructions, "_extremal_masks", broken)
+    with pytest.raises(InternalConsistencyError, match="witness for m=6, n=2, k=3 failed"):
+        construct_extremal(6, 2, 3)
+    assert construct_extremal(6, 2, 4).claimed_size == mkmin(6, 2, 4)
     report = verify_theorem1(4, 12)
     assert [(row.suite, row.m, row.n, row.k) for row in report.failures] == [
         ("theorem1.construction-only", 6, 2, 3)
