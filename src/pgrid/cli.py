@@ -144,17 +144,13 @@ def _run_suite(args: argparse.Namespace) -> SuiteReport:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = _run_suite(args)
-    if args.csv:
-        body = report.to_csv()
-    elif args.json:
-        body = report.to_json()
-    else:
-        body = None
+    style = "json" if args.json else "csv"
     if args.output:
-        Path(args.output).write_text(body if body is not None else report.to_csv())
+        with open(args.output, "w") as out:
+            report.write(out, style)
         print(report.summary_line())
-    elif body is not None:
-        sys.stdout.write(body)
+    elif args.csv or args.json:
+        report.write(sys.stdout, style)
     else:
         print(report.summary_line())
         for row in report.failures:

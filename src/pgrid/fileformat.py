@@ -44,7 +44,12 @@ def parse_instance(text: str) -> tuple[PollutedInstance, CellSet]:
     if meta is None:
         raise ParseError("metadata must be 'm=<int> n=<int> topology=<grid|torus>'", meta_no)
     try:
-        spec = GridSpec(int(meta.group(1)), int(meta.group(2)), Topology(meta.group(3)))
+        m, n = int(meta.group(1)), int(meta.group(2))
+    except ValueError:
+        # int() refuses a number of thousands of digits
+        raise ParseError("a board side has too many digits", meta_no) from None
+    try:
+        spec = GridSpec(m, n, Topology(meta.group(3)))
     except ParameterError as exc:
         raise ParseError(str(exc), meta_no) from exc
 

@@ -35,25 +35,24 @@ least minimum-size set, and results are identical run to run.
   Each admitted node keeps its closure, and its suffix tests, children and
   leaves close that closure plus their cells, since closure(A | B) =
   closure(closure(A) | B): the same closures, in fewer rounds.
-- Symmetry rule (every search, once a level has failed).  G is
-  any group of board maps that send the pollution onto itself; they send the
-  forced cells, and so the free ones, onto themselves as well.  A node may
-  add only a cell that no map of G fixing every cell it chose sends to a
-  lower index.  Let W = w_0 < ... < w_(s-1) be the free cells of a
-  percolating set that breaks this at w_d, through a map g that fixes
-  w_0 .. w_(d-1) and sends w_d lower.  Then g(W) percolates too and holds
-  w_0 .. w_(d-1) and g(w_d), which W lacks, while every cell of W below
-  g(w_d) is one of w_0 .. w_(d-1), so g(W) sorts before W.  The least
+- Symmetry rule (clean tori).  G is a group of board maps that send the
+  pollution onto itself, and so the forced and the free cells onto
+  themselves.  A node may add only a cell that no map of G fixing every cell
+  it chose sends to a lower index.  Let W = w_0 < ... < w_(s-1) be the free
+  cells of a percolating set that breaks this at w_d, through a map g that
+  fixes w_0 .. w_(d-1) and sends w_d lower.  Then g(W) percolates too and
+  holds w_0 .. w_(d-1) and g(w_d), which W lacks, while every cell of W
+  below g(w_d) is one of w_0 .. w_(d-1), so g(W) sorts before W.  The least
   percolating set therefore keeps the rule at every depth, and the search
-  still meets it first.  The code takes for G the reflections and turns
-  that keep the pollution, on a torus each followed by the translation that
-  takes the anchor, the first polluted cell, back home: at most seven maps
-  besides the identity, held as index tables.  A clean torus uses all its
-  maps: the translations take cell 0 to every cell, so the root may add
-  cell 0 alone, and below it only the maps that fix cell 0 remain.  The
-  group is built only when a level fails, so a search that succeeds at its
-  start bound pays nothing for it.  In the sweeps below, G holds the maps
-  that send the one pollution searched onto itself, and most have none.
+  still meets it first.  Only a clean torus takes a G, from its first level
+  on: its translations take cell 0 to every cell, so the root may add cell 0
+  alone, and below it G holds the reflections and turns, each followed by
+  the translation that takes cell 0 back home, at most seven index tables.
+  Grids and polluted tori search with no G.  On the boards the ``verify``
+  suites search, the maps that keep a pollution cut no closure of a grid and
+  cost the small one-hole tori more time than they saved; a larger polluted
+  torus pays for their absence (a one-hole 6x5 torus about twice the
+  closures).
 
 The search keeps its path on an explicit stack, so deep levels (a 1 x 2000
 path needs 1,001 seeds) never meet the recursion limit.  All oracles share
@@ -199,28 +198,14 @@ def _stabilizer(maps: list[tuple[int, ...]]) -> _Stabilizer:
     return _mask_of(bytes(map(eq, map(min, cells, *maps), cells)), "\x01"), tuple(maps)
 
 
-def _group(shifts: Shifts, blocked: int) -> _Stabilizer | None:
-    """The root of the symmetry rule: maps that keep ``blocked``, as a :func:`_stabilizer`.
+def _torus_group(m: int, n: int) -> _Stabilizer:
+    """The root of the symmetry rule on the clean ``m x n`` torus: cell 0 alone, and its maps.
 
-    These are the :func:`grid._symmetries` tables that send the pollution
-    onto itself, on a torus each first followed by the one translation that
-    takes the anchor, the first polluted cell or else cell 0, back home: at
-    most seven maps.  A clean torus is transitive, so its root mask is cell 0
-    alone.  None if only the identity is left.
+    The maps are the :func:`grid._symmetries` tables, each followed by the
+    translation that takes cell 0 back home, so all of them fix cell 0.  The
+    translations take cell 0 to every cell, so the root may add cell 0 alone.
     """
-    m, size = shifts.m, shifts.size
-    n = size // m
-    polluted = list(_set_bits(blocked))
-    tables = _symmetries(m, n)
-    if shifts.wrap:
-        a = polluted[0] if polluted else 0
-        tables = [_moved(q, (a - q[a]) % m, (a // m - q[a] // m) % n, m, n) for q in tables]
-    kept = [q for q in tables if sum(1 << q[p] for p in polluted) == blocked]
-    if not kept:
-        return None
-    if shifts.wrap and not blocked:
-        return 1, tuple(kept)
-    return _stabilizer(kept)
+    return 1, tuple(_moved(q, -q[0] % m, -(q[0] // m) % n, m, n) for q in _symmetries(m, n))
 
 
 def _min_search(
@@ -232,10 +217,11 @@ def _min_search(
     :meth:`Shifts.seed_floor`, or the forced count or 1 if larger.  Each is one
     depth-first search over the free cells ``cells``, ascending: a node is a
     partial seed with ``k`` cells left to choose, and its child ``j`` adds
-    ``cells[j]``, for ascending j above the last cell the node holds.  After the
-    first level, a child must also be a cell that the maps of :func:`_group`
-    fixing every cell the node chose send to no lower index.  A mask of free
-    cells is made only when used: a table of them would take O(t^2) bits.
+    ``cells[j]``, for ascending j above the last cell the node holds.  On a
+    clean torus a child must also be a cell that the maps of
+    :func:`_torus_group` fixing every cell the node chose send to no lower
+    index.  A mask of free cells is made only when used: a table of them
+    would take O(t^2) bits.
     """
     closure = closure_mask
     perimeter = shifts.perimeter
@@ -270,12 +256,8 @@ def _min_search(
             return None
         return grown
 
-    group = None
+    group = _torus_group(shifts.m, shifts.size // shifts.m) if shifts.wrap and not blocked else None
     for s in range(lo, hi + 1):
-        if s == lo + 1:
-            # built only once a level has failed, so a search that succeeds at
-            # its start bound pays nothing for it
-            group = _group(shifts, blocked)
         bud.level = s
         used = bud.used
         need = s - n_forced
@@ -292,8 +274,9 @@ def _min_search(
             # its first child is 0 at the root and else its parent's next,
             # nexts[d - 1]; bases[d] is a set between seeds[d] and its closure,
             # so closing it with more cells gives what closing seeds[d] with
-            # them would; with group, stabs[d] is the _stabilizer of its maps
-            # that fix the cells the node chose, the group itself at the root
+            # them would; on a clean torus, stabs[d] is the _stabilizer of the
+            # group's maps that fix the cells the node chose, the group's root
+            # at the root
             seeds = [forced]
             bases = [base]
             nexts = [0]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from math import isqrt
 from operator import ne
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from .constructions import _checked_masks, pollution_max_independent
 from .engine import percolate
@@ -45,9 +45,9 @@ _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 _TRACE_M, _TRACE_N = 8, 5
 _TRACE_MAX_POLLUTION = 13
 # Largest sweeps accepted.  The construction rows grow about as the square of
-# the limit: 400 checks 189,796 rows, in 8-9 s at a peak RSS of 81 MiB with
-# --csv and 9-10 s at 139 MiB with --json on a 2-vCPU host, where 1,000 would
-# check 1,401,085.  10,000 trace samples take ~1 s and 22 MiB.
+# the limit: 400 checks 189,796 rows, in 8-11 s at a peak RSS of 72 MiB with
+# --csv or --json on a 2-vCPU host, where 1,000 would check 1,401,085.
+# 10,000 trace samples take ~1 s and 22 MiB.
 _MAX_CONSTRUCTION_MN = 400
 _MAX_TRACE_SAMPLES = 10_000
 
@@ -87,34 +87,31 @@ class SuiteReport:
             f"{len(self.rows) - failed} passed, {failed} failed"
         )
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.suite,
-                    "" if row.m is None else row.m,
-                    "" if row.n is None else row.n,
-                    "" if row.k is None else row.k,
-                    row.expected,
-                    row.actual,
-                    "true" if row.passed else "false",
-                    f"{row.elapsed_ms:.3f}",
-                ]
-            )
-        return buf.getvalue()
+    def write(self, out: TextIO, style: str) -> None:
+        """Write the report to ``out`` as ``"csv"`` or ``"json"``, one row at a time.
 
-    def to_json(self) -> str:
-        """The report as ``json.dumps(doc, sort_keys=True, indent=2)`` would write it.
-
-        ``indent`` forces the pure-Python encoder, so only the short head goes
-        through it; each row, whose values are all scalars, is one C-encoded
-        line that ``_ROW_ENCODER``'s separators lay out at the rows' indent.
-        The rows and the head's two halves meet in a single join, so the
-        document is copied once, not once per concatenation.
+        The JSON is what ``json.dumps(doc, sort_keys=True, indent=2)`` would
+        write, yet only its short head goes through the pure-Python encoder
+        that ``indent`` forces: each row is one C-encoded line that
+        ``_ROW_ENCODER``'s separators lay out at the rows' indent.
         """
+        if style == "csv":
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            for row in self.rows:
+                writer.writerow(
+                    [
+                        row.suite,
+                        "" if row.m is None else row.m,
+                        "" if row.n is None else row.n,
+                        "" if row.k is None else row.k,
+                        row.expected,
+                        row.actual,
+                        "true" if row.passed else "false",
+                        f"{row.elapsed_ms:.3f}",
+                    ]
+                )
+            return
         doc = {
             "suite": self.name,
             "limits": self.limits,
@@ -126,32 +123,43 @@ class SuiteReport:
         }
         head = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         if not self.rows:
-            return head
+            out.write(head)
+            return
         # sorted keys and a two-space indent leave exactly one top-level rows line
         before, after = head.split('\n  "rows": [],', 1)
+        out.write(before + '\n  "rows": [')
         encode = _ROW_ENCODER.encode
-        parts = [
-            "{\n      "
-            + encode(
-                {
-                    "suite": row.suite,
-                    "m": row.m,
-                    "n": row.n,
-                    "k": row.k,
-                    "expected": row.expected,
-                    "actual": row.actual,
-                    "pass": row.passed,
-                    "elapsed_ms": round(row.elapsed_ms, 3),
-                    "note": row.note,
-                }
-            )[1:-1]
-            + "\n    }"
-            for row in self.rows
-        ]
-        # one join writes the document: the head's halves ride on the first and last rows
-        parts[0] = before + '\n  "rows": [\n    ' + parts[0]
-        parts[-1] += "\n  ]," + after
-        return ",\n    ".join(parts)
+        sep = "\n    {\n      "
+        for row in self.rows:
+            out.write(
+                sep
+                + encode(
+                    {
+                        "suite": row.suite,
+                        "m": row.m,
+                        "n": row.n,
+                        "k": row.k,
+                        "expected": row.expected,
+                        "actual": row.actual,
+                        "pass": row.passed,
+                        "elapsed_ms": round(row.elapsed_ms, 3),
+                        "note": row.note,
+                    }
+                )[1:-1]
+                + "\n    }"
+            )
+            sep = ",\n    {\n      "
+        out.write("\n  ]," + after)
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        self.write(buf, "csv")
+        return buf.getvalue()
+
+    def to_json(self) -> str:
+        buf = io.StringIO()
+        self.write(buf, "json")
+        return buf.getvalue()
 
 
 def _ms(t0: float) -> float:

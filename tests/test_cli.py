@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -158,15 +159,15 @@ def test_search_json_counts_symmetry_prunes(tmp_path, capsys):
     assert cli.run(["search", str(path), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {
-        "nodes_explored": 368,
+        "nodes_explored": 344,
         "size": 4,
         "witness": [[1, 5], [3, 5], [4, 4], [1, 2]],
         "start_bound": 1,
         "forced": 0,
-        "level_nodes": [25, 5, 60, 278],
+        "level_nodes": [1, 5, 60, 278],
         "suffix_prunes": 0,
         "perimeter_prunes": 0,
-        "symmetry_prunes": 177,
+        "symmetry_prunes": 201,
     }
 
 
@@ -211,6 +212,57 @@ def test_verify_json_to_file(tmp_path, capsys):
     assert capsys.readouterr().out == "suite monotonicity: 7 checks, 7 passed, 0 failed\n"
     doc = json.loads(out.read_text())
     assert doc["suite"] == "monotonicity" and doc["passed"] is True
+
+
+class _CountingStream:
+    """A text stream that counts the writes made to it."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return self.stream.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.stream.close()
+
+
+@pytest.mark.parametrize("flag,style", [("--csv", "to_csv"), ("--json", "to_json")])
+def test_verify_reports_stream_row_by_row(flag, style, tmp_path, monkeypatch, capsys):
+    reports = []
+    run_suite = cli._run_suite
+    monkeypatch.setattr(cli, "_run_suite", lambda args: reports.append(run_suite(args)) or reports[-1])
+    argv = ["verify", "monotonicity", "--max-mn", "6", flag]
+    stdout = _CountingStream(io.StringIO())
+    with monkeypatch.context() as mp:
+        mp.setattr(sys, "stdout", stdout)
+        assert cli.run(argv) == 0
+    assert stdout.stream.getvalue() == getattr(reports[-1], style)()
+    assert stdout.writes > 1
+    files = []
+
+    def counting_open(*args, **kwargs):
+        files.append(_CountingStream(open(*args, **kwargs)))
+        return files[-1]
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    out = tmp_path / "report"
+    assert cli.run(argv + ["-o", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("suite monotonicity: ")
+    assert out.read_text() == getattr(reports[-1], style)()
+    assert len(files) == 1 and files[0].writes > 1
+
+
+def test_hostile_board_side_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "hostile.pgrid"
+    path.write_text("pgrid v1\nm=" + "9" * 5000 + " n=3 topology=grid\n")
+    assert cli.run(["percolate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2, ")
 
 
 def test_verify_csv_json_flags_conflict():

@@ -112,6 +112,13 @@ def test_parse_rejects_boards_above_the_cell_cap():
     assert err.value.line == 2
 
 
+def test_parse_rejects_a_side_of_thousands_of_digits():
+    # int() refuses a number of more than 4,300 digits with a bare ValueError
+    with pytest.raises(ParseError) as err:
+        parse_instance("pgrid v1\nm=" + "9" * 5000 + " n=3 topology=grid\n")
+    assert err.value.line == 2
+
+
 def test_parse_rejects_torus_with_short_side():
     with pytest.raises(ParseError) as err:
         parse_instance("pgrid v1\nm=2 n=3 topology=torus\n..\n..\n..\n")

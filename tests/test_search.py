@@ -34,7 +34,6 @@ from pgrid.search import _fixed_polyominoes, _orbit_least, _pollutions
 
 from oracles import (
     canonical_cells,
-    mask_of_cells,
     naive_adjacent,
     naive_exposed_sides,
     naive_fixed_polyominoes,
@@ -126,10 +125,11 @@ def test_min_percolating_is_deterministic():
     [
         (grid(5, 5), 2, 5, 29, 0x100415),
         (grid(6, 5), 2, 6, 34, 0x100102B),
-        # without symmetry breaking the tori take 2,259 and 3,030 closures
-        (torus(5, 5), 2, 4, 368, 0x8105),
-        # without the phi_3 start bound and gap prune: 1,213 closures
-        (torus(4, 4), 3, 6, 395, 0x8525),
+        # without symmetry breaking: 2,259 closures
+        (torus(5, 5), 2, 4, 344, 0x8105),
+        # without symmetry breaking: 395; without the phi_3 start bound and
+        # gap prune as well: 1,213
+        (torus(4, 4), 3, 6, 331, 0x8525),
         (grid(3, 3), 4, 8, 1, 0x1EF),
         (grid(2, 2), 5, 4, 1, 0xF),
         # trying every 7-set in order takes 93,689 closures
@@ -184,8 +184,9 @@ def test_budget_error_carries_the_search_counts():
 
 @pytest.mark.parametrize("budget", [30, 300, 2000])
 def test_budget_error_counts_the_partial_last_level(budget):
-    # 2,337 closures: budget 30 stops in the first level, 300 and 2000 in later
-    # ones, where the search skips cells that are not least in their orbit
+    # 2,308 closures in levels of 1, 11, 169, 1,738 and 389: budget 30 stops in
+    # the third level, 300 in the fourth and 2000 in the last, and in each the
+    # search skips cells that are not least in their orbit
     instance = PollutedInstance.of(torus(6, 5))
     done = min_percolating_exact(instance)
     with pytest.raises(BudgetExceededError) as exc:
@@ -345,11 +346,12 @@ def _plain_search(instance, r):
     bud = search._Budget(10**6)
     # a context rather than the fixture: hypothesis runs many examples per test
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_group", lambda shifts, blocked: None)
+        mp.setattr(search, "_torus_group", lambda m, n: None)
         return search._min_search(shifts, instance.polluted.mask, residual, r, None, bud)
 
 
-# boards whose stabilizers run several cells deep; the plain search stays below 0.1 s
+# boards whose stabilizers run several cells deep on the clean tori; the plain
+# search stays below 0.1 s
 MIDSIZE_SYMMETRIC_BOARDS = [
     ("torus", 5, 5, 2), ("torus", 6, 5, 2), ("torus", 5, 4, 2), ("torus", 4, 4, 3),
     ("torus", 5, 3, 3), ("grid", 6, 6, 2), ("grid", 5, 5, 3), ("grid", 6, 4, 3),
@@ -357,12 +359,11 @@ MIDSIZE_SYMMETRIC_BOARDS = [
 
 
 @given(case=symmetric_instances(MIDSIZE_SYMMETRIC_BOARDS))
-# pollutions periodic under a translation, whose search uses none of the maps
-# that move the first polluted cell
-@example(case=(PollutedInstance.of(torus(6, 4), [(1, 1), (4, 1), (1, 3), (4, 3)]), 2))
-@example(case=(PollutedInstance.of(torus(5, 5), [(i, i) for i in range(1, 6)]), 2))
-@example(case=(PollutedInstance.of(torus(6, 6), [(1, 1), (4, 4)]), 2))
-@example(case=(PollutedInstance.of(torus(6, 6), [(1, 1), (4, 1), (1, 4), (4, 4)]), 2))
+# the clean tori, the only boards whose search breaks symmetry
+@example(case=(PollutedInstance.of(torus(5, 5)), 2))
+@example(case=(PollutedInstance.of(torus(6, 4)), 2))
+@example(case=(PollutedInstance.of(torus(5, 4)), 3))
+@example(case=(PollutedInstance.of(torus(4, 4)), 3))
 @settings(max_examples=60, deadline=None)
 def test_symmetric_pollutions_match_the_plain_search(case):
     instance, r = case
@@ -370,8 +371,8 @@ def test_symmetric_pollutions_match_the_plain_search(case):
     assert (result.size, result.witness.mask) == _plain_search(instance, r)
 
 
-# grids and polluted tori (the 4x5 torus keeps only the identity), then every
-# torus with sides 3 to 6, clean and with one polluted cell, which checks _moved
+# grids and polluted tori, some of them symmetric, then every torus with sides
+# 3 to 6, clean and with one polluted cell
 GROUP_CASES = [
     ("grid", 5, 5, []),
     ("grid", 4, 4, [(2, 2), (3, 3)]),
@@ -390,44 +391,49 @@ GROUP_CASES = [
 ]
 
 
+def _refuse(*args):
+    raise AssertionError("symmetry group built")
+
+
 @pytest.mark.parametrize("topology,m,n,polluted", GROUP_CASES)
-def test_symmetry_group_is_the_maps_that_keep_the_pollution(topology, m, n, polluted):
-    # the naive maps that keep the pollution and, on a torus, fix the anchor:
-    # the first polluted cell, or cell 0 on a clean torus
+def test_symmetry_group_is_the_maps_that_keep_the_pollution(topology, m, n, polluted, monkeypatch):
+    # a clean torus searches with the naive maps that fix cell 0, each of which
+    # keeps its empty pollution; every other board searches with no group
     spec = grid(m, n) if topology == "grid" else torus(m, n)
+    if topology == "grid" or polluted:
+        monkeypatch.setattr(search, "_torus_group", _refuse)
+        result = min_percolating_exact(PollutedInstance.of(spec, polluted))
+        assert result.symmetry_prunes == 0
+        return
     cells = canonical_cells(m, n)
-    blocked = sorted(map(cells.index, polluted))
-    anchor = blocked[0] if blocked else 0
     kept = set()
     for g in naive_symmetries(m, n, topology):
         q = tuple(cells.index(g[c]) for c in cells)
-        if sorted(q[p] for p in blocked) == blocked and (topology == "grid" or q[anchor] == anchor):
+        if q[0] == 0:
             kept.add(q)
     kept.discard(tuple(range(m * n)))
-    group = search._group(Shifts.of(spec), mask_of_cells(m, n, polluted))
-    if not kept:
-        assert group is None
-        return
-    mask, maps = group
+    # the translations take cell 0 to every cell: one orbit, so the root adds cell 0
+    mask, maps = search._torus_group(m, n)
+    assert mask == 1
     assert len(maps) == len(kept) and set(maps) == kept
-    if topology == "torus" and not polluted:
-        # the translations take cell 0 to every cell: one orbit
-        assert mask == 1
-    else:
-        assert mask == sum(1 << p for p in range(m * n) if all(q[p] >= p for q in kept))
 
 
-def test_searches_that_succeed_at_their_start_bound_build_no_group(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("symmetry group built")
-
-    monkeypatch.setattr(search, "_symmetries", refuse)
-    for spec in (grid(6, 5), grid(7, 6)):
-        result = min_percolating_exact(PollutedInstance.of(spec))
-        assert len(result.level_nodes) == 1
+def test_grids_and_polluted_tori_never_build_a_group(monkeypatch):
+    # both fail a level before they succeed
+    monkeypatch.setattr(search, "_symmetries", _refuse)
+    for spec, polluted, r in ((grid(6, 6), [], 3), (torus(5, 5), [(1, 1), (3, 4)], 2)):
+        result = min_percolating_exact(PollutedInstance.of(spec, polluted), r)
+        assert len(result.level_nodes) > 1
         assert result.symmetry_prunes == 0
     with pytest.raises(AssertionError, match="symmetry group built"):
         min_percolating_exact(PollutedInstance.of(torus(3, 3)))
+
+
+def test_clean_torus_first_level_costs_one_closure():
+    # one seed percolates nothing at r = 2; the group's root tries cell 0 alone
+    result = min_percolating_exact(PollutedInstance.of(torus(5, 5)))
+    assert result.level_nodes == (1, 5, 60, 278)
+    assert result.start_bound == 1
 
 
 @pytest.mark.parametrize(
