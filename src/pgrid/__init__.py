@@ -10,10 +10,7 @@ plain-text board format, and ASCII/SVG rendering.
 from .constructions import (
     ExtremalWitness,
     construct_extremal,
-    extremal_large_k,
     pollution_max_independent,
-    pollution_small_k,
-    seeds_small_k,
 )
 from .engine import PercolationTrace, is_percolating, percolate
 from .errors import (
@@ -29,10 +26,7 @@ from .errors import (
 )
 from .fileformat import parse_instance, write_instance
 from .formulas import (
-    Branch,
-    ExtremalParams,
     ceil_two_sqrt,
-    extremal_params,
     independent_interior_capacity,
     mkmax_lower_bound,
     mkmin,
@@ -77,13 +71,11 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch",
     "BudgetExceededError",
     "CSV_COLUMNS",
     "CellSet",
     "CheckRow",
     "DEFAULT_NODE_BUDGET",
-    "ExtremalParams",
     "ExtremalWitness",
     "GridSpec",
     "InternalConsistencyError",
@@ -102,8 +94,6 @@ __all__ = [
     "Vertex",
     "ceil_two_sqrt",
     "construct_extremal",
-    "extremal_large_k",
-    "extremal_params",
     "grid",
     "independent_interior_capacity",
     "is_percolating",
@@ -123,9 +113,7 @@ __all__ = [
     "percolation_number_torus",
     "perimeter_lower_bound",
     "pollution_max_independent",
-    "pollution_small_k",
     "render_trace",
-    "seeds_small_k",
     "torus",
     "verify_monotonicity",
     "verify_perimeter",

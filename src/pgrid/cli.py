@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .constructions import construct_extremal
 from .engine import percolate
-from .errors import PgridError
+from .errors import ParseError, PgridError
 from .fileformat import parse_instance, write_instance
 from .formulas import (
     mkmax_lower_bound,
@@ -27,6 +27,7 @@ from .formulas import (
     percolation_number_grid,
     percolation_number_torus,
 )
+from .grid import CellSet, PollutedInstance
 from .render import render_trace
 from .search import DEFAULT_NODE_BUDGET, min_percolating_exact
 from .verify import (
@@ -55,6 +56,19 @@ class _UsageError(Exception):
 
 def _vertex_list(cells) -> list[list[int]]:
     return [[v.i, v.j] for v in cells]
+
+
+def _read_board(path: str) -> tuple[PollutedInstance, CellSet]:
+    """Parse the board file at ``path``, decoded as UTF-8 whatever the locale."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # a stand-in for the bad byte marks its line and column, counted as parse_instance counts
+        lines = (data[: exc.start].decode("utf-8") + ".").splitlines()
+        bad = f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        raise ParseError(bad, len(lines), len(lines[-1])) from None
+    return parse_instance(text)
 
 
 def _cmd_formula(args: argparse.Namespace) -> int:
@@ -98,7 +112,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_percolate(args: argparse.Namespace) -> int:
-    instance, seeds = parse_instance(Path(args.file).read_text())
+    instance, seeds = _read_board(args.file)
     trace = percolate(instance, seeds, args.r)
     if args.json:
         payload = {
@@ -119,7 +133,7 @@ def _cmd_percolate(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    instance, _ = parse_instance(Path(args.file).read_text())
+    instance, _ = _read_board(args.file)
     result = min_percolating_exact(instance, args.r, args.budget)
     if args.json:
         payload = {field.name: getattr(result, field.name) for field in fields(result)}
@@ -160,7 +174,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    instance, seeds = parse_instance(Path(args.file).read_text())
+    instance, seeds = _read_board(args.file)
     trace = percolate(instance, seeds, args.r)
     document = render_trace(trace, args.style)
     if args.output:
@@ -242,10 +256,7 @@ def run(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except PgridError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PgridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

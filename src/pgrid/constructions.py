@@ -1,15 +1,15 @@
 """Explicit witnesses achieving the extremal seed counts.
 
-For favorable pollution (small k) the polluted set deletes the last columns
-and the seeds alternate along the first column and first row of what is left.
-For large k the residual is kept as close to a square as possible and seeded
-the same way.  One builder, ``_extremal_masks``, makes both masks of every
-branch by index arithmetic, with no coordinate lists, and the public
-constructors wrap it.  For the worst-pollution lower bound the polluted set is
-an independent set of interior degree-4 vertices.  One check,
-``_checked_masks``, counts a witness's cells and closes it once; every witness
-returned here passes it, and so does every construction row of ``verify
-theorem1``, on one set of shift constants per board.
+:func:`construct_extremal` is the one entry point for the best-case witness
+of every k.  While k <= (m-n)n the polluted set deletes the last columns and
+the seeds alternate along the first column and first row of what is left;
+after that the residual is kept as close to a square as possible and seeded
+the same way.  One builder, ``_extremal_masks``, makes both masks of every k
+by index arithmetic, with no coordinate lists.  For the worst-pollution lower
+bound the polluted set is an independent set of interior degree-4 vertices.
+One check, ``_checked_masks``, counts a witness's cells and closes it once;
+every witness returned here passes it, and so does every construction row of
+``verify theorem1``, on one set of shift constants per board.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import isqrt
 
 from .engine import closure_mask
 from .errors import InternalConsistencyError, OutOfHypothesisError, ParameterError
-from .formulas import _check_grid_shape, _check_small_k, independent_interior_capacity, mkmin
+from .formulas import independent_interior_capacity, mkmin
 from .grid import CellSet, GridSpec, PollutedInstance, Shifts, grid
 
 
@@ -63,10 +63,15 @@ def _alternating_path_seeds(spec: GridSpec, cols: int, rows: int) -> int:
 def _extremal_masks(spec: GridSpec, k: int) -> tuple[int, int]:
     """(polluted, seeds) masks of the extremal witness on the m x n grid ``spec``.
 
-    The small-k geometry of :func:`pollution_small_k` and :func:`seeds_small_k`
-    while k <= (m-n)n, k = 0 included, and that of :func:`extremal_large_k`
-    after; at k = (m-n)n both leave the n by n square with the same seeds.
-    No validation: 2 <= n <= m and 0 <= k <= mn are assumed.
+    While k <= (m-n)n, k = 0 included, the pollution is the last floor(k/n)
+    full columns plus the k mod n leftover cells down the top of the next
+    column, and the seeds alternate down column 1 and along row 1 of the
+    m - floor(k/n) columns left.  After that, with t = mn - k, x = floor(sqrt(t))
+    and o = t - x*x, everything is polluted except a lower-left residual: the
+    x by x square, plus o cells of a new top row when 0 < o <= x, plus that
+    full row and o - x cells of a new right column when o > x; it is seeded
+    the same way.  At k = (m-n)n both leave the n by n square with the same
+    seeds.  No validation: 2 <= n <= m and 0 <= k <= mn are assumed.
     """
     m, n = spec.m, spec.n
     if k <= (m - n) * n:
@@ -89,20 +94,6 @@ def _extremal_masks(spec: GridSpec, k: int) -> tuple[int, int]:
     return full ^ residual, _alternating_path_seeds(spec, cols, rows)
 
 
-def pollution_small_k(m: int, n: int, k: int) -> CellSet:
-    """The last floor(k/n) full columns plus leftovers down the next column's top."""
-    _check_small_k(m, n, k)
-    spec = grid(m, n)
-    return CellSet(spec, _extremal_masks(spec, k)[0])
-
-
-def seeds_small_k(m: int, n: int, k: int) -> CellSet:
-    """Alternating seeds along column 1 and row 1 of the surviving m-ell columns."""
-    _check_small_k(m, n, k)
-    spec = grid(m, n)
-    return CellSet(spec, _extremal_masks(spec, k)[1])
-
-
 def _checked_masks(spec: GridSpec, shifts: Shifts, k: int, expected: int) -> tuple[int, int]:
     """The masks of :func:`_extremal_masks`, checked: k polluted cells, ``expected``
     seeds, and one closure that infects the whole residual, or InternalConsistencyError."""
@@ -118,22 +109,8 @@ def _checked_masks(spec: GridSpec, shifts: Shifts, k: int, expected: int) -> tup
     return polluted, seeds
 
 
-def extremal_large_k(m: int, n: int, k: int) -> ExtremalWitness:
-    """Pollute everything except a near-square residual in the lower-left corner.
-
-    With t = mn - k, x = floor(sqrt(t)) and o = t - x*x the residual is the
-    x by x square, plus o cells of a new top row when 0 < o <= x, plus that
-    full row and o - x cells of a new right column when o > x.
-    """
-    _check_grid_shape(m, n)
-    pivot = (m - n) * n
-    if not pivot <= k <= m * n:
-        raise ParameterError(f"need (m-n)n = {pivot} <= k <= {m * n}, got k={k}")
-    return construct_extremal(m, n, k)
-
-
 def construct_extremal(m: int, n: int, k: int) -> ExtremalWitness:
-    """Engine-verified witness for any admissible k, dispatching on the branch."""
+    """Engine-verified witness for any 0 <= k <= mn, in either regime."""
     expected = mkmin(m, n, k)  # checks 2 <= n <= m and 0 <= k <= mn
     spec = grid(m, n)
     polluted, seeds = _checked_masks(spec, Shifts.of(spec), k, expected)

@@ -7,42 +7,17 @@ favor, the minimum percolating-set size over the best pollution placement is
     ceil((n + m - floor(k/n)) / 2)      while k <= (m - n) * n,
     ceil(ceil(2 * sqrt(mn - k)) / 2)    afterwards,
 
-and both expressions agree at the boundary.  Everything here is integer
-arithmetic; square roots go through ``math.isqrt``.
+and both expressions agree at the boundary.  :func:`mkmin` is the one path
+to that value, and it checks the ranges; ``constructions.construct_extremal``
+builds the matching witnesses.  Everything here is integer arithmetic;
+square roots go through ``math.isqrt``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from math import isqrt
 
 from .errors import InternalConsistencyError, OutOfHypothesisError, ParameterError
-
-
-class Branch(str, Enum):
-    SMALL_K = "small_k"
-    LARGE_K = "large_k"
-    BOUNDARY = "boundary"
-
-
-@dataclass(frozen=True)
-class ExtremalParams:
-    """Derived quantities of the extremal formula; :func:`mkmin` computes on plain ints.
-
-    ``ell`` counts whole columns the pollution can delete, ``t`` is the
-    residual cell count, ``x`` its integer square root, ``rem`` the leftover
-    ``t - x*x`` (so ``0 <= rem <= 2x``).
-    """
-
-    m: int
-    n: int
-    k: int
-    ell: int
-    t: int
-    x: int
-    rem: int
-    branch: Branch
 
 
 def _check_grid_shape(m: int, n: int) -> None:
@@ -54,21 +29,6 @@ def _check_args(m: int, n: int, k: int) -> None:
     _check_grid_shape(m, n)
     if not 0 <= k <= m * n:
         raise ParameterError(f"need 0 <= k <= {m * n}, got k={k}")
-
-
-def _check_small_k(m: int, n: int, k: int) -> None:
-    _check_grid_shape(m, n)
-    if not 1 <= k <= (m - n) * n:
-        raise ParameterError(f"need 1 <= k <= (m-n)n = {(m - n) * n}, got k={k}")
-
-
-def extremal_params(m: int, n: int, k: int) -> ExtremalParams:
-    _check_args(m, n, k)
-    pivot = (m - n) * n
-    branch = Branch.BOUNDARY if k == pivot else Branch.SMALL_K if k < pivot else Branch.LARGE_K
-    t = m * n - k
-    x = isqrt(t)
-    return ExtremalParams(m, n, k, k // n, t, x, t - x * x, branch)
 
 
 def ceil_two_sqrt(t: int) -> int:
@@ -115,7 +75,9 @@ def mkmin_remark_form(m: int, n: int, k: int) -> int:
     With ell = floor(k/n): subtract floor(ell/2) when m+n is even and
     floor((ell+1)/2) when m+n is odd.  Agrees with :func:`mkmin` on its range.
     """
-    _check_small_k(m, n, k)
+    _check_grid_shape(m, n)
+    if not 1 <= k <= (m - n) * n:
+        raise ParameterError(f"need 1 <= k <= (m-n)n = {(m - n) * n}, got k={k}")
     ell = k // n
     base = percolation_number_grid(m, n)
     if (m + n) % 2 == 0:

@@ -334,9 +334,9 @@ def min_percolating_exact(
         raise ParameterError(f"infection threshold must be >= 1, got {r}")
     spec = instance.spec
     residual = instance.residual.mask
+    bud = _Budget(budget)
     if residual == 0:
         return SearchResult(0, CellSet(spec), 0)
-    bud = _Budget(budget)
     try:
         size, witness_mask = _min_search(
             Shifts.of(spec), instance.polluted.mask, residual, r, None, bud
@@ -485,6 +485,7 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     made, the compact residual's included.
     """
     spec, shifts = _sweep_setup(m, n, k, r)
+    bud = _Budget(budget)
     t = spec.size - k
     if t == 0:
         return 0
@@ -494,7 +495,6 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     floor = max(1, (min_perimeter(t) + pad) // reach)
     if not shifts.at_least(shifts.full, r) & shifts.full:
         floor = t
-    bud = _Budget(budget)
     best: int | None = None
     try:
         residual = _compact_residual(m, n, t)
@@ -534,10 +534,10 @@ def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     closures of the searches made and of the witnesses tried.
     """
     spec, shifts = _sweep_setup(m, n, k, r)
+    bud = _Budget(budget)
     t = spec.size - k
     if t == 0:
         return 0
-    bud = _Budget(budget)
     tables = _symmetries(m, n)
     best: int | None = None
     recent: deque[int] = deque(maxlen=8)

@@ -189,6 +189,28 @@ def test_missing_file_is_a_domain_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_search_budget_zero_is_refused_even_with_nothing_to_search(tmp_path, capsys):
+    path = tmp_path / "polluted.pgrid"
+    assert cli.run(["construct", "-m", "2", "-n", "2", "-k", "4", "-o", str(path)]) == 0
+    assert cli.run(["search", str(path), "--budget", "1"]) == 0
+    assert capsys.readouterr().out.startswith("size: 0\n")
+    assert cli.run(["search", str(path), "--budget", "0"]) == 1
+    assert capsys.readouterr().err == "error: node budget must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("verb", ["percolate", "search", "render"])
+def test_a_board_file_that_is_not_utf8_is_a_domain_error(verb, tmp_path, capsys):
+    # the head of a binary, and a bad byte inside the second board row
+    binary = tmp_path / "binary.pgrid"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00\n\xd0\x00\x00")
+    row = tmp_path / "row.pgrid"
+    row.write_bytes(b"pgrid v1\nm=3 n=2 topology=grid\n...\n.\xff.\n")
+    assert cli.run([verb, str(binary)]) == 1
+    assert capsys.readouterr().err == "error: line 2, column 1: invalid UTF-8 byte 0xd0\n"
+    assert cli.run([verb, str(row)]) == 1
+    assert capsys.readouterr().err == "error: line 4, column 2: invalid UTF-8 byte 0xff\n"
+
+
 def test_verify_summary_and_exit_zero(capsys):
     rc = cli.run(["verify", "perimeter", "--max-t", "3", "--trace-samples", "2", "--seed", "7"])
     assert rc == 0

@@ -8,13 +8,10 @@ from pgrid import (
     OutOfHypothesisError,
     ParameterError,
     construct_extremal,
-    extremal_large_k,
     grid,
     is_percolating,
     mkmin,
     pollution_max_independent,
-    pollution_small_k,
-    seeds_small_k,
 )
 from pgrid.grid import Shifts
 
@@ -32,24 +29,13 @@ def _cells(cellset):
 
 
 def test_pollution_small_k_reference_sets():
-    assert _cells(pollution_small_k(8, 5, 8)) == {(8, j) for j in range(1, 6)} | {
-        (7, 5),
-        (7, 4),
-        (7, 3),
-    }
-    assert _cells(pollution_small_k(8, 5, 11)) == {
+    assert _cells(construct_extremal(8, 5, 8).instance.polluted) == {
+        (8, j) for j in range(1, 6)
+    } | {(7, 5), (7, 4), (7, 3)}
+    assert _cells(construct_extremal(8, 5, 11).instance.polluted) == {
         (i, j) for i in (7, 8) for j in range(1, 6)
     } | {(6, 5)}
-    assert _cells(pollution_small_k(8, 5, 5)) == {(8, j) for j in range(1, 6)}
-
-
-def test_pollution_small_k_validates_range():
-    with pytest.raises(ParameterError):
-        pollution_small_k(8, 5, 0)
-    with pytest.raises(ParameterError):
-        pollution_small_k(8, 5, 16)
-    with pytest.raises(ParameterError):
-        pollution_small_k(4, 4, 1)
+    assert _cells(construct_extremal(8, 5, 5).instance.polluted) == {(8, j) for j in range(1, 6)}
 
 
 @given(case=shapes_with_k())
@@ -57,26 +43,26 @@ def test_pollution_small_k_has_exactly_k_cells(case):
     m, n, k = case
     if not 1 <= k <= (m - n) * n:
         return
-    assert len(pollution_small_k(m, n, k)) == k
+    assert len(construct_extremal(m, n, k).instance.polluted) == k
 
 
 def test_seeds_small_k_reference_sets():
-    assert _cells(seeds_small_k(8, 5, 8)) == {(1, 5), (1, 3), (1, 1), (3, 1), (5, 1), (7, 1)}
-    assert _cells(seeds_small_k(8, 5, 11)) == {(1, 5), (1, 3), (1, 1), (3, 1), (5, 1), (6, 1)}
+    assert _cells(construct_extremal(8, 5, 8).seeds) == {
+        (1, 5), (1, 3), (1, 1), (3, 1), (5, 1), (7, 1)
+    }
+    assert _cells(construct_extremal(8, 5, 11).seeds) == {
+        (1, 5), (1, 3), (1, 1), (3, 1), (5, 1), (6, 1)
+    }
 
 
 def test_seeds_small_k_percolate_their_instance():
-    spec = grid(6, 4)
-    instance_pollution = pollution_small_k(6, 4, 4)
-    seeds = seeds_small_k(6, 4, 4)
-    assert len(seeds) == 5
-    from pgrid import PollutedInstance
-
-    assert is_percolating(PollutedInstance(spec, instance_pollution), seeds, 2)
+    witness = construct_extremal(6, 4, 4)
+    assert len(witness.seeds) == 5
+    assert is_percolating(witness.instance, witness.seeds, 2)
 
 
 def test_extremal_large_k_square_case():
-    witness = extremal_large_k(8, 5, 24)
+    witness = construct_extremal(8, 5, 24)
     assert _cells(witness.instance.residual) == {
         (i, j) for i in range(1, 5) for j in range(1, 5)
     }
@@ -85,24 +71,17 @@ def test_extremal_large_k_square_case():
 
 
 def test_extremal_large_k_partial_row_case():
-    witness = extremal_large_k(8, 5, 22)
+    witness = construct_extremal(8, 5, 22)
     assert len(witness.instance.residual) == 18
     assert len(witness.seeds) == 5
     assert witness.claimed_size == 5
 
 
 def test_extremal_large_k_empty_residual():
-    witness = extremal_large_k(8, 5, 40)
+    witness = construct_extremal(8, 5, 40)
     assert not witness.instance.residual
     assert not witness.seeds
     assert witness.claimed_size == 0
-
-
-def test_extremal_large_k_validates_range():
-    with pytest.raises(ParameterError):
-        extremal_large_k(8, 5, 14)
-    with pytest.raises(ParameterError):
-        extremal_large_k(8, 5, 41)
 
 
 @given(case=shapes_with_k())

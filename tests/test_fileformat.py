@@ -80,6 +80,10 @@ def test_parse_errors_carry_document_positions():
         parse_instance("pgrid v1\nm=2 rows=2\n..\n..\n")
     assert err.value.line == 2
 
+    with pytest.raises(ParseError, match="missing metadata line") as err:
+        parse_instance("pgrid v1\n")
+    assert err.value.line == 2
+
     with pytest.raises(ParseError) as err:
         parse_instance("pgrid v1\nm=3 n=2 topology=grid\n...\n..\n")
     assert err.value.line == 4

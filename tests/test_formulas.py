@@ -1,13 +1,13 @@
+from math import isqrt
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
 from pgrid import (
-    Branch,
     OutOfHypothesisError,
     ParameterError,
     ceil_two_sqrt,
-    extremal_params,
     independent_interior_capacity,
     min_perimeter,
     mkmax_lower_bound,
@@ -96,37 +96,23 @@ def test_mkmin_at_the_branch_boundary_is_n(shape):
     assert mkmin(m, n, (m - n) * n) == n
 
 
-def test_extremal_params_branches():
-    assert extremal_params(8, 5, 8).branch is Branch.SMALL_K
-    assert extremal_params(8, 5, 15).branch is Branch.BOUNDARY
-    assert extremal_params(8, 5, 22).branch is Branch.LARGE_K
-    assert extremal_params(4, 4, 0).branch is Branch.BOUNDARY
-
-
-@given(shape=shapes_with_k())
-def test_extremal_params_invariants(shape):
-    m, n, k = shape
-    p = extremal_params(m, n, k)
-    assert p.t == m * n - k
-    assert p.ell == k // n
-    assert p.x * p.x <= p.t < (p.x + 1) * (p.x + 1)
-    assert 0 <= p.rem <= 2 * p.x
-
-
-def test_int_forms_match_the_values_rebuilt_from_the_public_view():
-    # mkmin and mkmin_lower_bound share no code with extremal_params: rebuild
-    # both branch values from the view, with ceil(ceil(2 sqrt t) / 2) = ceil(sqrt t)
+def test_int_forms_match_the_values_rebuilt_with_isqrt():
+    # mkmin and mkmin_lower_bound share no code with this rebuild of both
+    # branch values, with ceil(ceil(2 sqrt t) / 2) = ceil(sqrt t)
     for n in range(2, 13):
         for m in range(n, 150 // n + 1):
+            pivot = (m - n) * n
             for k in range(m * n + 1):
-                p = extremal_params(m, n, k)
-                small = (p.n + p.m - p.ell + 1) // 2
-                large = p.x + (p.rem > 0)
-                if p.branch is Branch.BOUNDARY:
+                t = m * n - k
+                x = isqrt(t)
+                ell, rem = k // n, t - x * x
+                small = (n + m - ell + 1) // 2
+                large = x + (rem > 0)
+                if k == pivot:
                     assert small == large, (m, n, k)
-                assert mkmin(m, n, k) == (small if p.branch is Branch.SMALL_K else large)
+                assert mkmin(m, n, k) == (small if k < pivot else large)
                 if 0 < k < m * n:
-                    assert mkmin_lower_bound(m, n, k) == (small if p.t > n * n else large)
+                    assert mkmin_lower_bound(m, n, k) == (small if t > n * n else large)
 
 
 def test_mkmin_remark_form_examples():

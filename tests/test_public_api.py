@@ -10,13 +10,11 @@ import inspect
 import pgrid
 
 PUBLIC = [
-    "Branch",
     "BudgetExceededError",
     "CSV_COLUMNS",
     "CellSet",
     "CheckRow",
     "DEFAULT_NODE_BUDGET",
-    "ExtremalParams",
     "ExtremalWitness",
     "GridSpec",
     "InternalConsistencyError",
@@ -35,8 +33,6 @@ PUBLIC = [
     "Vertex",
     "ceil_two_sqrt",
     "construct_extremal",
-    "extremal_large_k",
-    "extremal_params",
     "grid",
     "independent_interior_capacity",
     "is_percolating",
@@ -56,9 +52,7 @@ PUBLIC = [
     "percolation_number_torus",
     "perimeter_lower_bound",
     "pollution_max_independent",
-    "pollution_small_k",
     "render_trace",
-    "seeds_small_k",
     "torus",
     "verify_monotonicity",
     "verify_perimeter",

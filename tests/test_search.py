@@ -234,6 +234,21 @@ def test_min_percolating_rejects_bad_threshold_and_budget():
         min_percolating_exact(instance, budget=0)
 
 
+def test_every_oracle_checks_its_budget_even_with_nothing_to_search():
+    # a fully polluted board leaves nothing to search, yet budget 0 is still refused
+    spec = grid(2, 2)
+    polluted = PollutedInstance.of(spec, list(spec.vertices()))
+    assert min_percolating_exact(polluted, budget=1).size == 0
+    assert mkmin_exact(2, 2, 4, budget=1) == mkmax_exact(2, 2, 4, budget=1) == 0
+    for oracle, args in (
+        (min_percolating_exact, (polluted,)),
+        (mkmin_exact, (2, 2, 4)),
+        (mkmax_exact, (2, 2, 4)),
+    ):
+        with pytest.raises(ParameterError, match="node budget must be >= 1, got 0"):
+            oracle(*args, budget=0)
+
+
 @given(case=tiny_instances())
 @settings(max_examples=120, deadline=None)
 def test_start_bound_is_at_most_the_naive_minimum(case):

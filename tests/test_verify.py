@@ -10,9 +10,12 @@ import pgrid.constructions as constructions
 import pgrid.verify as verify_module
 from pgrid import (
     CSV_COLUMNS,
+    BudgetExceededError,
+    CellSet,
     CheckRow,
     InternalConsistencyError,
     ParameterError,
+    PercolationTrace,
     SuiteReport,
     construct_extremal,
     grid,
@@ -144,6 +147,75 @@ def test_a_broken_construction_fails_its_own_row(breach, monkeypatch, capsys):
     assert row.actual == "construction failed: witness for m=6, n=2, k=3 failed verification"
     assert cli.run(["verify", "theorem1", "--max-exhaustive", "4", "--max-construction", "12"]) == 3
     assert "FAIL theorem1.construction-only m=6 n=2 k=3: expected 4" in capsys.readouterr().out
+
+
+def _t1_failures(capsys):
+    """The failing rows of theorem 1 at limits 4 and 12, once from the API and
+    once from the CLI, which must exit 3."""
+    failures = verify_theorem1(4, 12).failures
+    assert cli.run(["verify", "theorem1", "--max-exhaustive", "4", "--max-construction", "12"]) == 3
+    assert "FAIL theorem1." in capsys.readouterr().out
+    return [(row.suite, row.m, row.n, row.k, row.actual, row.passed, row.note) for row in failures]
+
+
+def test_an_oracle_out_of_budget_fails_its_row(monkeypatch, capsys):
+    real = verify_module.mkmin_exact
+
+    def out_of_budget(m, n, k, r):
+        if (m, n, k) == (2, 2, 1):
+            raise BudgetExceededError("budget of 1 closure evaluations exhausted", 2, 1, 3)
+        return real(m, n, k, r)
+
+    monkeypatch.setattr(verify_module, "mkmin_exact", out_of_budget)
+    assert _t1_failures(capsys) == [
+        (
+            "theorem1.oracle-certified", 2, 2, 1,
+            "budget exceeded: budget of 1 closure evaluations exhausted", False, "",
+        )
+    ]
+
+
+def test_a_perimeter_bound_above_the_formula_fails_its_row(monkeypatch, capsys):
+    real = Shifts.seed_floor
+    # only on the 6x2 board, whose shapes the oracle rows at limit 4 never search
+    monkeypatch.setattr(Shifts, "seed_floor", lambda self, x, r: real(self, x, r) + (self.m == 6))
+    failures = _t1_failures(capsys)
+    assert [k for _, _, _, k, _, _, _ in failures] == list(range(13))
+    for suite, m, n, k, actual, passed, note in failures:
+        value = mkmin(6, 2, k)
+        assert (suite, m, n, actual, passed) == ("theorem1.construction-only", 6, 2, value, False)
+        assert note == f"perimeter bound {value + 1} exceeds the formula value"
+
+
+def test_a_lower_bound_off_by_one_fails_its_row(monkeypatch, capsys):
+    real = verify_module.mkmin_lower_bound
+    monkeypatch.setattr(
+        verify_module, "mkmin_lower_bound", lambda m, n, k: real(m, n, k) + ((m, n, k) == (6, 2, 5))
+    )
+    assert _t1_failures(capsys) == [
+        (
+            "theorem1.construction-only", 6, 2, 5, mkmin(6, 2, 5), False,
+            "rectangle-style bound disagrees with the formula value",
+        )
+    ]
+
+
+def test_a_trace_whose_perimeter_rises_fails_its_row(monkeypatch, capsys):
+    spec = grid(8, 5)
+
+    def rising(instance, seeds, r):
+        # one cell (perimeter 4), then a second cell far from it (perimeter 8)
+        rounds = (CellSet(spec, 1), CellSet(spec, 1 << 20))
+        return PercolationTrace(instance, rounds, CellSet(spec, 1 | 1 << 20), False, 1)
+
+    monkeypatch.setattr(verify_module, "percolate", rising)
+    traces = [row for row in verify_perimeter(1, 2).rows if row.suite == "perimeter.trace"]
+    assert [(row.k, row.actual, row.passed) for row in traces] == [
+        (0, "perimeter rose 4 -> 8", False),
+        (1, "perimeter rose 4 -> 8", False),
+    ]
+    assert cli.run(["verify", "perimeter", "--max-t", "1", "--trace-samples", "2"]) == 3
+    assert "FAIL perimeter.trace m=8 n=5 k=0" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("min_n", [1, 2, 3])
