@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .constructions import construct_extremal
 from .engine import percolate
-from .errors import ParseError, PgridError
+from .errors import BudgetExceededError, ParseError, PgridError
 from .fileformat import parse_instance, write_instance
 from .formulas import (
     mkmax_lower_bound,
@@ -29,7 +29,7 @@ from .formulas import (
 )
 from .grid import CellSet, PollutedInstance
 from .render import render_trace
-from .search import DEFAULT_NODE_BUDGET, min_percolating_exact
+from .search import DEFAULT_NODE_BUDGET, _Budget, min_percolating_exact
 from .verify import (
     SuiteReport,
     verify_monotonicity,
@@ -134,7 +134,24 @@ def _cmd_percolate(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     instance, _ = _read_board(args.file)
-    result = min_percolating_exact(instance, args.r, args.budget)
+    try:
+        result = min_percolating_exact(instance, args.r, args.budget)
+    except BudgetExceededError as exc:
+        # what the search proved and did before the budget ran out
+        proven = {
+            "lower_bound": exc.lower_bound,
+            "upper_bound": exc.upper_bound,
+            "nodes_explored": exc.nodes,
+            **{name: getattr(exc, name) for name in _Budget.WORK},
+        }
+        print(f"error: {exc}", file=sys.stderr)
+        if args.json:
+            print(json.dumps({"error": str(exc), **proven}, sort_keys=True))
+        else:
+            for name, value in proven.items():
+                shown = " ".join(map(str, value)) if isinstance(value, tuple) else value
+                print(f"{name.replace('_', ' ')}: {shown}", file=sys.stderr)
+        return 1
     if args.json:
         payload = {field.name: getattr(result, field.name) for field in fields(result)}
         payload["witness"] = _vertex_list(result.witness)
@@ -216,8 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exact minimum percolating set of a board file")
     p.add_argument("file")
     p.add_argument("-r", type=int, default=2)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                   help="closure-evaluation budget")
+    p.add_argument("--budget", type=int,
+                   help="closure-evaluation budget (default: "
+                   f"floor({DEFAULT_NODE_BUDGET:,} / ceil(mn / 64)) on an m x n board)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_search)
 

@@ -58,7 +58,10 @@ The search keeps its path on an explicit stack, so deep levels (a 1 x 2000
 path needs 1,001 seeds) never meet the recursion limit.  All oracles share
 one node budget, counted in closure evaluations, prune tests included;
 exceeding it raises an error carrying the bounds proven so far, never a
-silent approximation.
+silent approximation.  A closure costs O(rounds * ceil(mn / 64)) word
+operations, so with no budget given an oracle allows
+floor(DEFAULT_NODE_BUDGET / ceil(mn / 64)) closures on an m x n board:
+10^8 on boards of at most 64 cells, 6,103 on the largest, 2^20 cells.
 
 The pollution sweeps behind ``mkmin_exact`` and ``mkmax_exact`` search one
 pollution per orbit of the grid's reflections and rotations, since those
@@ -77,11 +80,14 @@ ceil(phi_r / 2r) beats the best b so far exactly when its perimeter is at
 most 2r(b - 1) - (2r - 4)t, and that is its limit.
 
 Both sweeps start from what they already know.  ``mkmin_exact`` first
-searches one compact residual, a near-square or whole lines of the short
-side in the bottom-left corner, and takes its exact value as the best so
-far: the walk then lists only residuals that can beat it, and none at all
-when that value meets the floor ceil(phi_r / 2r) of the least perimeter of
-t cells.  ``mkmax_exact`` first closes each of its 8 most recent witnesses
+takes a best so far b from one compact residual, a near-square or whole
+lines of the short side in the bottom-left corner: at r = 2 the size of
+the seeds on its hook, which one closure checks, and which meet the
+residual's own start bound ceil(phi_2 / 4); at other r, or should the
+seeds fail, the residual's exact value, by search.  Any residual that
+beats b has phi_r <= 2r(b - 1), so the walk lists only those, and none at
+all when b meets the floor ceil(phi_r / 2r) of the least perimeter of t
+cells.  ``mkmax_exact`` first closes each of its 8 most recent witnesses
 that avoid a pollution A, each of at most best seeds; one that percolates
 G - A proves m(G - A) <= best, and A is skipped.  The compact residual is
 itself one of the sweep's pollutions, and a skipped A cannot raise the
@@ -116,6 +122,7 @@ from .grid import (
 )
 from .perimeter import min_perimeter
 
+#: closures times board words (64 cells each) that an oracle given no budget may spend
 DEFAULT_NODE_BUDGET = 10**8
 
 
@@ -150,9 +157,10 @@ class _OutOfBudget(Exception):
 class _Budget:
     """The closure budget shared by every search of one call, and their work counts.
 
-    ``start_bound``, ``forced`` and ``level_nodes`` describe the latest
-    search, the level it ran out of budget in included; the prune counts add
-    up over all of them.
+    A ``limit`` of None allows floor(DEFAULT_NODE_BUDGET / ceil(cells / 64))
+    closures, for a board of ``cells`` cells.  ``start_bound``, ``forced``
+    and ``level_nodes`` describe the latest search, the level it ran out of
+    budget in included; the prune counts add up over all of them.
     """
 
     #: the work counts that SearchResult and BudgetExceededError both carry
@@ -162,7 +170,9 @@ class _Budget:
     )
     __slots__ = ("limit", "used", "level") + WORK
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int | None, cells: int = 1):
+        if limit is None:
+            limit = DEFAULT_NODE_BUDGET // -(-cells // 64)
         if limit < 1:
             raise ParameterError(f"node budget must be >= 1, got {limit}")
         self.limit = limit
@@ -327,14 +337,18 @@ def _min_search(
 
 
 def min_percolating_exact(
-    instance: PollutedInstance, r: int = 2, budget: int = DEFAULT_NODE_BUDGET
+    instance: PollutedInstance, r: int = 2, budget: int | None = None
 ) -> SearchResult:
-    """Exact m(G', r) for one polluted instance, with a canonical witness."""
+    """Exact m(G', r) for one polluted instance, with a canonical witness.
+
+    ``budget`` caps the closures run; None allows
+    floor(DEFAULT_NODE_BUDGET / ceil(mn / 64)) on an m x n board.
+    """
     if r < 1:
         raise ParameterError(f"infection threshold must be >= 1, got {r}")
     spec = instance.spec
     residual = instance.residual.mask
-    bud = _Budget(budget)
+    bud = _Budget(budget, spec.size)
     if residual == 0:
         return SearchResult(0, CellSet(spec), 0)
     try:
@@ -343,7 +357,7 @@ def min_percolating_exact(
         )
     except _OutOfBudget:
         raise BudgetExceededError(
-            f"budget of {budget} closure evaluations exhausted at seed size {bud.level}",
+            f"budget of {bud.limit} closure evaluations exhausted at seed size {bud.level}",
             nodes=bud.used,
             lower_bound=bud.level,
             upper_bound=residual.bit_count(),
@@ -442,13 +456,22 @@ def _orbit_least(tables: list[tuple[int, ...]], combo: tuple[int, ...]) -> bool:
     return True
 
 
-def _compact_residual(m: int, n: int, t: int) -> int:
-    """A residual of 1 <= t <= mn cells of least perimeter, in the bottom-left corner.
+def _compact_residual(m: int, n: int, t: int) -> tuple[int, int]:
+    """A residual of 1 <= t <= mn cells of least perimeter, in the bottom-left corner, and seeds.
 
     While t < s^2, s the short side, it is a near-square: rows of
     ceil(sqrt(t)) cells, the last one partial; after that, whole lines of s
     cells across the short side, the last one partial.  Built row by row from
-    the bottom, each row a segment from the left edge.
+    the bottom, each row a segment from the left edge and none longer than
+    the row below: a Young diagram, whose perimeter is 2(L + H) for a bottom
+    row of L cells and a first column of H.
+
+    The seeds lie on its hook, the bottom row and the first column, a path
+    of L + H - 1 cells: every other cell from the top of the column, and the
+    end of the row, ceil((L + H) / 2) cells, the floor ceil(phi_2 / 4).  At
+    r = 2 they percolate it: each other hook cell has two seeded neighbours
+    on the path, and then each cell off the hook has its left and lower
+    neighbours inside the diagram.
     """
     s = min(m, n)
     if t < s * s:
@@ -461,16 +484,25 @@ def _compact_residual(m: int, n: int, t: int) -> int:
     else:
         widths = [m] * (t // m) + [t % m]
     # only the last width may be 0, and its row may lie above the board
-    return sum(((1 << w) - 1) << (n - 1 - up) * m for up, w in enumerate(widths) if w)
+    residual = sum(((1 << w) - 1) << (n - 1 - up) * m for up, w in enumerate(widths) if w)
+    corner = (n - 1) * m
+    height = len(widths) - (widths[-1] == 0)
+    # the hook from the top of the first column down and then along the bottom row
+    hook = [corner - up * m for up in range(height - 1, 0, -1)]
+    hook += range(corner, corner + widths[0])
+    return residual, sum(1 << p for p in hook[::2]) | 1 << hook[-1]
 
 
-def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_BUDGET) -> int:
+def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int | None = None) -> int:
     """Exact best case over pollution: min over all |A| = k of m(G - A, r).
 
-    The sweep first searches one compact residual, from
-    :func:`_compact_residual`, and starts from its exact value as the best so
-    far; it stops there if that value is the floor every residual of t cells
-    needs, or if k = 0, where that residual is the only one.  Where no cell of
+    The sweep first takes a best so far b from one compact residual, from
+    :func:`_compact_residual`: at r = 2 the size of its hook seeds, which
+    one closure checks, and otherwise, or should they fail to percolate, the
+    residual's exact value, by search.  It stops there if b is the floor
+    every residual of t cells needs, or if k = 0, where that residual is the
+    only one; there seeds above its own floor ceil(phi_2 / 4) would not give
+    its value, and it is searched instead.  Where no cell of
     the board has r neighbours (r >= 3 one wide, r >= 4 two wide, r >= 5
     anywhere) that floor is t, since no residual cell can ever be infected,
     and the compact residual meets it.  Otherwise it
@@ -479,13 +511,15 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     ceil(phi_r / 2r) with phi_r = perimeter + (2r - 4)t, and every residual
     has t = mn - k cells, so once the best is b only residuals of perimeter
     at most 2r(b - 1) - (2r - 4)t can beat it, and only those are listed.  The
-    compact residual is one of the pollutions the sweep ranges over, so
-    starting from it changes only the order of the work, never the value:
+    compact residual is one of the pollutions the sweep ranges over, so b
+    is no less than the minimum and every residual below b is listed:
+    starting from it changes only the order of the work, never the value,
     that of the full sweep.  ``budget`` counts the closures of the searches
-    made, the compact residual's included.
+    made, the compact residual's included; None allows
+    floor(DEFAULT_NODE_BUDGET / ceil(mn / 64)).
     """
     spec, shifts = _sweep_setup(m, n, k, r)
-    bud = _Budget(budget)
+    bud = _Budget(budget, spec.size)
     t = spec.size - k
     if t == 0:
         return 0
@@ -497,9 +531,17 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
         floor = t
     best: int | None = None
     try:
-        residual = _compact_residual(m, n, t)
-        best, _ = _min_search(shifts, shifts.full ^ residual, residual, r, None, bud)
-        assert best is not None
+        residual, seeds = _compact_residual(m, n, t)
+        blocked = shifts.full ^ residual
+        if r == 2:
+            bud.tick()
+            if closure_mask(shifts, blocked, seeds, r) == residual:
+                best = seeds.bit_count()
+        # at k = 0 no walk follows, so seeds above the residual's own floor
+        # leave its value unknown
+        if best is None or (not k and best > shifts.seed_floor(residual, r)):
+            best, _ = _min_search(shifts, blocked, residual, r, None, bud)
+            assert best is not None
         if k and best > floor:
             tables = _symmetries(m, n)
             # a residual of perimeter above this needs best seeds or more
@@ -515,7 +557,7 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
                         break
     except _OutOfBudget:
         raise BudgetExceededError(
-            f"budget of {budget} closure evaluations exhausted",
+            f"budget of {bud.limit} closure evaluations exhausted",
             nodes=bud.used,
             lower_bound=floor,
             upper_bound=t if best is None else best,
@@ -523,7 +565,7 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     return best
 
 
-def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_BUDGET) -> int:
+def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int | None = None) -> int:
     """Exact worst case over pollution: max over all |A| = k of m(G - A, r).
 
     One pollution is searched per orbit of the grid's symmetries.  Before a
@@ -531,10 +573,11 @@ def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
     avoids A is closed in G - A; every one of them has at most best seeds, so
     if one percolates, m(G - A) <= best, A cannot raise the best, and it is
     skipped.  The value is that of the full sweep; ``budget`` counts the
-    closures of the searches made and of the witnesses tried.
+    closures of the searches made and of the witnesses tried, and None
+    allows floor(DEFAULT_NODE_BUDGET / ceil(mn / 64)).
     """
     spec, shifts = _sweep_setup(m, n, k, r)
-    bud = _Budget(budget)
+    bud = _Budget(budget, spec.size)
     t = spec.size - k
     if t == 0:
         return 0
@@ -564,7 +607,7 @@ def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int = DEFAULT_NODE_B
                     break
     except _OutOfBudget:
         raise BudgetExceededError(
-            f"budget of {budget} closure evaluations exhausted",
+            f"budget of {bud.limit} closure evaluations exhausted",
             nodes=bud.used,
             lower_bound=0 if best is None else best,
             upper_bound=t,

@@ -46,9 +46,11 @@ _TRACE_M, _TRACE_N = 8, 5
 _TRACE_MAX_POLLUTION = 13
 # Largest sweeps accepted.  The construction rows grow about as the square of
 # the limit: 400 checks 189,796 rows, in 8-11 s at a peak RSS of 64 MiB with
-# --csv or --json on a 2-vCPU host, where 1,000 would check 1,401,085.
+# --csv or --json on a 2-vCPU host, where 1,000 would check 1,401,085.  The
+# oracle rows reach the same boards: 400 and 400 check 379,592 rows in ~34 s.
 # 10,000 trace samples take ~1 s and 22 MiB.
 _MAX_CONSTRUCTION_MN = 400
+_MAX_EXHAUSTIVE_MN = 400
 _MAX_TRACE_SAMPLES = 10_000
 
 
@@ -189,8 +191,11 @@ def verify_theorem1(max_mn_exhaustive: int, max_mn_construction: int) -> SuiteRe
     engine-verified constructions plus both lower bounds on larger ones."""
     if max_mn_exhaustive < 4 or max_mn_construction < 4:
         raise ParameterError("limits must be >= 4 (the smallest grid is 2x2)")
-    if max_mn_exhaustive > 150:
-        raise ParameterError("exhaustive boards beyond mn = 150 are out of oracle reach")
+    if max_mn_exhaustive > _MAX_EXHAUSTIVE_MN:
+        raise ParameterError(
+            f"exhaustive boards beyond mn = {_MAX_EXHAUSTIVE_MN} are out of oracle reach, "
+            f"got {max_mn_exhaustive}"
+        )
     if max_mn_construction > _MAX_CONSTRUCTION_MN:
         raise ParameterError(
             f"construction boards beyond mn = {_MAX_CONSTRUCTION_MN} are out of reach, "

@@ -184,6 +184,42 @@ def test_search_budget_exhaustion(board, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_search_budget_exhaustion_shows_what_it_proved(board, capsys):
+    assert cli.run(["search", str(board), "--budget", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: budget of 3 closure evaluations exhausted at seed size 4",
+        "lower bound: 4",
+        "upper bound: 16",
+        "nodes explored: 4",
+        "start bound: 4",
+        "forced: 0",
+        "level nodes: 4",
+        "suffix prunes: 0",
+        "perimeter prunes: 1",
+        "symmetry prunes: 0",
+    ]
+
+
+def test_search_budget_exhaustion_json_is_one_document(board, capsys):
+    assert cli.run(["search", str(board), "--budget", "3", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: budget of 3 closure evaluations exhausted at seed size 4\n"
+    assert json.loads(captured.out) == {
+        "error": "budget of 3 closure evaluations exhausted at seed size 4",
+        "lower_bound": 4,
+        "upper_bound": 16,
+        "nodes_explored": 4,
+        "start_bound": 4,
+        "forced": 0,
+        "level_nodes": [4],
+        "suffix_prunes": 0,
+        "perimeter_prunes": 1,
+        "symmetry_prunes": 0,
+    }
+
+
 def test_missing_file_is_a_domain_error(tmp_path, capsys):
     assert cli.run(["percolate", str(tmp_path / "absent.pgrid")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -328,7 +364,7 @@ def test_verify_limit_that_certifies_nothing_exits_one(argv, capsys):
 
 def test_verify_theorem1_beyond_oracle_reach_exits_one_at_once(capsys):
     start = time.perf_counter()
-    assert cli.run(["verify", "theorem1", "--max-exhaustive", "151"]) == 1
+    assert cli.run(["verify", "theorem1", "--max-exhaustive", "401"]) == 1
     assert time.perf_counter() - start < 1.0
     assert "out of oracle reach" in capsys.readouterr().err
 

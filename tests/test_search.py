@@ -226,6 +226,25 @@ def test_deep_level_needs_no_recursion():
         assert exc.value.nodes == b + 1
 
 
+def test_default_budget_scales_with_the_board_words(monkeypatch):
+    # floor(DEFAULT_NODE_BUDGET / ceil(mn / 64)): boards of at most 64 cells keep it whole
+    limits = {cells: search._Budget(None, cells).limit for cells in (1, 64, 65, 128, 129, 2**20)}
+    assert limits == {
+        1: 10**8, 64: 10**8, 65: 5 * 10**7, 128: 5 * 10**7, 129: 33_333_333, 2**20: 6_103
+    }
+    assert search._Budget(7, 2**20).limit == 7
+    # every oracle takes the scaled default when given no budget: 9x9 is two words
+    monkeypatch.setattr(search, "DEFAULT_NODE_BUDGET", 10)
+    for oracle in (
+        lambda: min_percolating_exact(PollutedInstance.of(grid(9, 9))),
+        lambda: mkmin_exact(9, 9, 1, 3),
+        lambda: mkmax_exact(9, 9, 1),
+    ):
+        with pytest.raises(BudgetExceededError, match="budget of 5 closure") as exc:
+            oracle()
+        assert exc.value.nodes == 6
+
+
 def test_min_percolating_rejects_bad_threshold_and_budget():
     instance = PollutedInstance.of(grid(2, 2), [])
     with pytest.raises(ParameterError):
@@ -560,16 +579,31 @@ def test_sweep_oracles_validate_inputs():
         mkmin_exact(3, 3, 1, r=0)
 
 
-def test_mkmin_exact_budget_error_carries_bounds():
+def _assert_sweep_error(exc, value, nodes, lower_bound, upper_bound):
+    assert (exc.nodes, exc.lower_bound, exc.upper_bound) == (nodes, lower_bound, upper_bound)
+    assert exc.lower_bound <= value <= exc.upper_bound
+    assert (exc.start_bound, exc.forced, exc.level_nodes) == (0, 0, ())
+    assert (exc.suffix_prunes, exc.perimeter_prunes, exc.symmetry_prunes) == (0, 0, 0)
+
+
+def test_mkmin_exact_budget_error_carries_bounds(monkeypatch):
+    # one closure checks the hook seeds, which meet the floor of 3
+    assert mkmin_exact(3, 3, 1, budget=1) == 3
+    # at r = 3 the compact residual's search gives 12 over the floor 11, and
+    # the walk runs out before it finds 11
     with pytest.raises(BudgetExceededError) as exc:
-        mkmin_exact(3, 3, 1, budget=1)
-    err = exc.value
-    assert err.lower_bound == 3
-    assert err.upper_bound == 8
+        mkmin_exact(5, 5, 3, 3, budget=100)
+    _assert_sweep_error(exc.value, 11, 101, 11, 12)
     # ceil((min_perimeter(30) + 2 * 30) / 6) = 14; the r = 3 floor was 1
     with pytest.raises(BudgetExceededError) as exc:
         mkmin_exact(6, 5, 0, 3, budget=1)
-    assert (exc.value.nodes, exc.value.lower_bound, exc.value.upper_bound) == (2, 14, 30)
+    _assert_sweep_error(exc.value, mkmin_exact(6, 5, 0, 3), 2, 14, 30)
+    # at r = 2 with every residual cell a seed the best starts at t = 8, and
+    # the walk runs out before it finds 3
+    monkeypatch.setattr(search, "_compact_residual", _whole)
+    with pytest.raises(BudgetExceededError) as exc:
+        mkmin_exact(3, 3, 1, budget=10)
+    _assert_sweep_error(exc.value, 3, 11, 3, 8)
 
 
 def test_mkmin_exact_r3_row_is_frozen():
@@ -595,11 +629,72 @@ def test_compact_residual_has_the_least_perimeter_on_its_board():
             s = min(m, n)
             perimeter = Shifts.of(grid(m, n)).perimeter
             for t in range(1, m * n + 1):
-                mask = search._compact_residual(m, n, t)
+                mask, _ = search._compact_residual(m, n, t)
                 assert mask.bit_count() == t and mask >> m * n == 0, (m, n, t)
                 assert mask >> (n - 1) * m & 1, (m, n, t)  # the bottom-left cell
                 least = min_perimeter(t) if t < s * s else min_perimeter_height_bounded(t, s)
                 assert perimeter(mask) == least, (m, n, t)
+
+
+def test_hook_seeds_percolate_the_compact_residual_at_its_floor():
+    for m in range(1, 151):
+        for n in range(1, 150 // m + 1):
+            shifts = Shifts.of(grid(m, n))
+            for t in range(1, m * n + 1):
+                mask, seeds = search._compact_residual(m, n, t)
+                assert closure_mask(shifts, shifts.full ^ mask, seeds, 2) == mask, (m, n, t)
+                assert seeds.bit_count() == shifts.seed_floor(mask, 2), (m, n, t)
+
+
+_real_compact_residual = search._compact_residual
+
+
+def _whole(m, n, t):
+    """The compact residual with every one of its cells a seed: they percolate, t of them."""
+    mask, _ = _real_compact_residual(m, n, t)
+    return mask, mask
+
+
+def _short(m, n, t):
+    """The compact residual with its hook seeds less one: below its floor, so they fail."""
+    mask, seeds = _real_compact_residual(m, n, t)
+    return mask, seeds & seeds - 1
+
+
+@pytest.mark.parametrize("poor", [_short, _whole])
+def test_mkmin_exact_value_does_not_depend_on_the_hook_seeds(poor, monkeypatch):
+    searched = []
+
+    def min_search(shifts, blocked, residual, r, cap, bud):
+        searched.append(cap is None)
+        return real_search(shifts, blocked, residual, r, cap, bud)
+
+    real_search = search._min_search
+    monkeypatch.setattr(search, "_min_search", min_search)
+    monkeypatch.setattr(search, "_compact_residual", poor)
+    for m, n in NAIVE_SWEEP_BOARDS:
+        for k in range(m * n + 1):
+            assert mkmin_exact(m, n, k) == min(_naive_numbers(m, n, k, 2)), (m, n, k)
+    if poor is _short:
+        # seeds that fail send every sweep with t > 0 to the compact residual's search
+        assert searched.count(True) == sum(m * n for m, n in NAIVE_SWEEP_BOARDS)
+    else:
+        # seeds that percolate above the floor leave the minimum to the walk
+        assert searched.count(False) > 0
+
+
+def test_mkmin_exact_searches_no_compact_residual_at_r2(monkeypatch):
+    calls = []
+
+    def min_search(shifts, blocked, residual, r, cap, bud):
+        calls.append(residual)
+        return real_search(shifts, blocked, residual, r, cap, bud)
+
+    real_search = search._min_search
+    monkeypatch.setattr(search, "_min_search", min_search)
+    assert [mkmin_exact(14, 14, k) for k in range(197)] == [mkmin(14, 14, k) for k in range(197)]
+    compact = {_real_compact_residual(14, 14, t)[0] for t in range(1, 197)}
+    assert not compact.intersection(calls)
 
 
 def _scattered(m, n, t):
@@ -617,7 +712,8 @@ def test_mkmin_exact_value_does_not_depend_on_the_compact_residual(monkeypatch):
 
     def scattered(m, n, t):
         calls.append((m, n, t))
-        return _scattered(m, n, t)
+        # no seeds percolate it, so the sweep searches it at every r
+        return _scattered(m, n, t), 0
 
     monkeypatch.setattr(search, "_compact_residual", scattered)
     poorer = 0
@@ -701,62 +797,13 @@ def test_sweep_closure_counts_are_frozen(oracle, args, closures):
     assert exc.value.nodes == closures
 
 
-# mkmin_exact under the budgets 1, 3, 10 and 30: (nodes, lower_bound,
-# upper_bound) of the BudgetExceededError raised, or the value returned; every
-# k not listed returns its value under all four budgets
-SWEEP_BUDGET_OUTCOMES = {
-    (8, 2, 0): [(2, 4, 16), (4, 4, 16), (11, 4, 16), 5],
-    (8, 2, 1): [(2, 4, 15), (4, 4, 15), 5, 5],
-    (8, 2, 2): [(2, 4, 14), (4, 4, 14), (11, 4, 14), 5],
-    (8, 2, 3): [(2, 4, 13), (4, 4, 13), 5, 5],
-    (8, 2, 4): [(2, 4, 12), (4, 4, 12), (11, 4, 12), 4],
-    (8, 2, 5): [(2, 4, 11), (4, 4, 11), 4, 4],
-    (8, 2, 6): [(2, 4, 10), (4, 4, 10), (11, 4, 10), 4],
-    (8, 2, 7): [(2, 3, 9), (4, 3, 9), 4, 4],
-    (8, 2, 8): [(2, 3, 8), (4, 3, 8), 3, 3],
-    (8, 2, 9): [(2, 3, 7), (4, 3, 7), 3, 3],
-    (8, 2, 10): [(2, 3, 6), (4, 3, 6), 3, 3],
-    (8, 2, 11): [(2, 3, 5), 3, 3, 3],
-    (8, 2, 12): [(2, 2, 4), (4, 2, 4), 2, 2],
-    (5, 5, 0): [(2, 5, 25), (4, 5, 25), (11, 5, 25), 5],
-    (5, 5, 1): [(2, 5, 24), (4, 5, 24), (11, 5, 24), (31, 5, 24)],
-    (5, 5, 2): [(2, 5, 23), (4, 5, 23), (11, 5, 23), 5],
-    (5, 5, 3): [(2, 5, 22), (4, 5, 22), (11, 5, 22), 5],
-    (5, 5, 4): [(2, 5, 21), (4, 5, 21), (11, 5, 21), 5],
-    (5, 5, 5): [(2, 5, 20), (4, 5, 20), (11, 5, 20), 5],
-    (5, 5, 6): [(2, 5, 19), (4, 5, 19), (11, 5, 19), 5],
-    (5, 5, 7): [(2, 5, 18), (4, 5, 18), (11, 5, 18), 5],
-    (5, 5, 8): [(2, 5, 17), (4, 5, 17), (11, 5, 17), 5],
-    (5, 5, 9): [(2, 4, 16), (4, 4, 16), (11, 4, 16), 4],
-    (5, 5, 10): [(2, 4, 15), (4, 4, 15), (11, 4, 15), 4],
-    (5, 5, 11): [(2, 4, 14), (4, 4, 14), (11, 4, 14), 4],
-    (5, 5, 12): [(2, 4, 13), (4, 4, 13), (11, 4, 13), 4],
-    (5, 5, 13): [(2, 4, 12), (4, 4, 12), (11, 4, 12), 4],
-    (5, 5, 14): [(2, 4, 11), (4, 4, 11), (11, 4, 11), 4],
-    (5, 5, 15): [(2, 4, 10), (4, 4, 10), (11, 4, 10), 4],
-    (5, 5, 16): [(2, 3, 9), (4, 3, 9), 3, 3],
-    (5, 5, 17): [(2, 3, 8), (4, 3, 8), (11, 3, 8), 3],
-    (5, 5, 18): [(2, 3, 7), (4, 3, 7), 3, 3],
-    (5, 5, 19): [(2, 3, 6), (4, 3, 6), 3, 3],
-    (5, 5, 20): [(2, 3, 5), 3, 3, 3],
-    (5, 5, 21): [(2, 2, 4), (4, 2, 4), 2, 2],
-    (1, 12, 0): [(2, 4, 12), (4, 4, 12), (11, 4, 12), 7],
-    (1, 12, 1): [(2, 4, 11), (4, 4, 11), (11, 4, 11), 6],
-    (1, 12, 2): [(2, 4, 10), (4, 4, 10), 6, 6],
-    (1, 12, 3): [(2, 3, 9), (4, 3, 9), 5, 5],
-    (1, 12, 4): [(2, 3, 8), (4, 3, 8), 5, 5],
-    (1, 12, 5): [(2, 3, 7), (4, 3, 7), 4, 4],
-    (1, 12, 6): [(2, 3, 6), (4, 3, 6), 4, 4],
-    (1, 12, 7): [(2, 3, 5), 3, 3, 3],
-    (1, 12, 8): [(2, 2, 4), 3, 3, 3],
-}
-
-
 @pytest.mark.parametrize("m,n", [(8, 2), (5, 5), (1, 12)])
 def test_mkmin_exact_budget_errors_are_frozen(m, n):
     for k in range(m * n + 1):
         # the closed form covers boards at least two cells wide
         value = mkmin(m, n, k) if 2 <= n <= m else mkmin_exact(m, n, k)
+        # (nodes, lower_bound, upper_bound) of a BudgetExceededError, or the
+        # value returned, under the budgets 1, 3, 10 and 30
         outcomes = []
         for budget in (1, 3, 10, 30):
             try:
@@ -766,8 +813,9 @@ def test_mkmin_exact_budget_errors_are_frozen(m, n):
                 assert exc.lower_bound <= value <= exc.upper_bound, (m, n, k, budget)
                 assert (exc.start_bound, exc.forced, exc.level_nodes) == (0, 0, ())
                 assert (exc.suffix_prunes, exc.perimeter_prunes, exc.symmetry_prunes) == (0, 0, 0)
-        expected = SWEEP_BUDGET_OUTCOMES.get((m, n, k), [mkmin_exact(m, n, k)] * 4)
-        assert outcomes == expected, (m, n, k)
+        # the hook seeds cost one closure and the walk lists no pollution, so
+        # every k returns its value under all four budgets
+        assert outcomes == [value] * 4, (m, n, k)
 
 
 def test_fixed_polyomino_counts():
