@@ -67,17 +67,24 @@ The pollution sweeps behind ``mkmin_exact`` and ``mkmax_exact`` search one
 pollution per orbit of the grid's reflections and rotations, since those
 maps preserve the percolation number.  Their values are those of the full
 sweep; their budgets count only the closures of the pollutions searched.
-One walk lists the pollutions of both: a depth-first walk over the cells,
-in index order, that yields them in lexicographic order and cuts each
-branch whose residual perimeter, counted so far plus a bound on what the
-undecided cells must add, exceeds a limit the caller may lower as it goes.
-The bound is worked out only where it could cut: while the count plus
-2(rows + m), an upper bound on it over the undecided rows, is within the
-limit, the branch is kept at once.  ``mkmax_exact`` needs every pollution
-and sets the limit to 4mn, which cuts nothing.  Every residual of one
-``mkmin_exact`` sweep has the same size t, so its start bound
-ceil(phi_r / 2r) beats the best b so far exactly when its perimeter is at
-most 2r(b - 1) - (2r - 4)t, and that is its limit.
+One orderly walk lists the pollutions of both: a depth-first walk over the
+cells, in index order, that yields the orbit-least ones in lexicographic
+order and cuts each branch whose residual perimeter, counted so far plus a
+bound on what the undecided cells must add, exceeds a limit the caller may
+lower as it goes.  The bound is worked out only where it could cut: while
+the count plus 2(rows + m), an upper bound on it over the undecided rows,
+is within the limit, the branch is kept at once.  Each prefix of an
+orbit-least sorted set is orbit-least: a map that takes a prefix below
+itself takes the set below too, as adding cells only lowers each order
+statistic of an image.  So where a polluted branch extends a prefix known
+least and the count plus 4 sides per undecided cell is within the limit,
+which then cuts nothing below, the branch is cut unless its own prefix is
+least; under a tighter limit most such tests would find nothing to list,
+and a pollution is tested whole once settled.  ``mkmax_exact`` sets the
+limit to 4mn, which cuts nothing.  Every residual of one ``mkmin_exact``
+sweep has the same size t, so its start bound ceil(phi_r / 2r) beats the
+best b so far exactly when its perimeter is at most 2r(b - 1) - (2r - 4)t,
+and that is its limit.
 
 Both sweeps start from what they already know.  ``mkmin_exact`` first
 takes a best so far b from one compact residual, a near-square or whole
@@ -377,13 +384,12 @@ def _sweep_setup(m: int, n: int, k: int, r: int):
 
 
 def _pollutions(shifts: Shifts, k: int, limit: list[int]):
-    """The k-cell pollutions of a grid whose residual perimeter is at most ``limit[0]``.
+    """The orbit-least k-cell pollutions of a grid of residual perimeter at most ``limit[0]``.
 
-    Yields (cells, mask, residual), cells a sorted index tuple, in
-    lexicographic order, less each pollution whose residual perimeter
-    exceeds ``limit[0]`` when the walk reaches it.  The limit is read at every
-    step, so the caller may lower it during the walk; a limit of 4mn cuts
-    nothing.
+    Yields (mask, residual) in lexicographic order of the sorted polluted cells,
+    less each pollution whose residual perimeter exceeds ``limit[0]`` when the
+    walk reaches it and each that :func:`_orbit_least` rejects.  The limit is
+    read at every step, so the caller may lower it as it goes; 4mn cuts nothing.
 
     The walk decides the cells in index order, polluted before healthy.  A
     decided cell settles its edges to its left and upper neighbours and its
@@ -401,14 +407,23 @@ def _pollutions(shifts: Shifts, k: int, limit: list[int]):
     is at most 2(rows + m): a branch whose count plus that is within the limit
     is kept without working the bound out.  Once all k cells are placed, or
     every undecided cell must be polluted, the pollution is settled and its
-    perimeter is taken whole.
+    perimeter is taken whole.  :func:`_orbit_least` tests prefixes and settled
+    pollutions as the module docstring says, from tables built at its first test.
     """
     m, size, full = shifts.m, shifts.size, shifts.full
     bottom = size - m
-    # a frame: next cell p, healthy cells so far, cells left to pollute, perimeter counted so far
-    stack = [(0, 0, k, 0)]
+    tables: list[tuple[int, ...]] = []
+
+    def least(combo: tuple[int, ...]) -> bool:
+        if not tables:
+            tables.extend(_symmetries(m, size // m))
+        return _orbit_least(tables, combo)
+
+    # a frame: next cell p, healthy cells so far, cells left to pollute, perimeter
+    # counted so far, and the polluted cells so far if known least, else None
+    stack = [(0, 0, k, 0, ())]
     while stack:
-        p, healthy, left, counted = stack.pop()
+        p, healthy, left, counted, combo = stack.pop()
         if left == 0 or left == size - p:
             residual = healthy if left else healthy | full >> p << p
             if shifts.perimeter(residual) <= limit[0]:
@@ -416,7 +431,8 @@ def _pollutions(shifts: Shifts, k: int, limit: list[int]):
                 # through a list: a tuple grown from an iterator is resized, which
                 # strands its block on another size's free list, and a long sweep
                 # fills those lists with thousands of tuples (peak RSS +2 MiB)
-                yield tuple(list(_set_bits(amask))), amask, residual
+                if combo is not None and not left or least(tuple(list(_set_bits(amask)))):
+                    yield amask, residual
             continue
         col = p % m
         west = col > 0 and healthy >> (p - 1) & 1
@@ -436,8 +452,11 @@ def _pollutions(shifts: Shifts, k: int, limit: list[int]):
                 continue
         north = p >= m and healthy >> (p - m) & 1
         exposed = (not west) + (not north) + (col == m - 1) + (p >= bottom)
-        stack.append((p + 1, healthy | 1 << p, left, counted + exposed))
-        stack.append((p + 1, healthy, left - 1, counted + west + north))
+        stack.append((p + 1, healthy | 1 << p, left, counted + exposed, combo))
+        combo = combo + (p,) if combo is not None and counted + 4 * (size - p) <= limit[0] else None
+        if combo and not least(combo):
+            continue
+        stack.append((p + 1, healthy, left - 1, counted + west + north, combo))
 
 
 def _orbit_least(tables: list[tuple[int, ...]], combo: tuple[int, ...]) -> bool:
@@ -445,8 +464,8 @@ def _orbit_least(tables: list[tuple[int, ...]], combo: tuple[int, ...]) -> bool:
 
     Every automorphism maps a pollution onto one with the same percolation
     number, so a sweep need search only the least member of each orbit of
-    :func:`grid._symmetries`.  The sweeps meet pollutions in lexicographic
-    order, so the first member of an orbit they meet is that least one.
+    :func:`grid._symmetries`.  :func:`_pollutions` also tests the prefixes of
+    pollutions, which are least whenever the whole pollution is.
     """
     first = combo[0]
     for q in tables:
@@ -543,12 +562,9 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int | None = None) -
             best, _ = _min_search(shifts, blocked, residual, r, None, bud)
             assert best is not None
         if k and best > floor:
-            tables = _symmetries(m, n)
             # a residual of perimeter above this needs best seeds or more
             limit = [reach * (best - 1) - (reach - 4) * t]
-            for combo, amask, residual in _pollutions(shifts, k, limit):
-                if not _orbit_least(tables, combo):
-                    continue
+            for amask, residual in _pollutions(shifts, k, limit):
                 size, _ = _min_search(shifts, amask, residual, r, best - 1, bud)
                 if size is not None:
                     best = size
@@ -581,7 +597,6 @@ def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int | None = None) -
     t = spec.size - k
     if t == 0:
         return 0
-    tables = _symmetries(m, n)
     best: int | None = None
     recent: deque[int] = deque(maxlen=8)
 
@@ -595,8 +610,8 @@ def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int | None = None) -
         return False
 
     try:
-        for combo, amask, residual in _pollutions(shifts, k, [4 * spec.size]):
-            if best is not None and (not _orbit_least(tables, combo) or covered(amask, residual)):
+        for amask, residual in _pollutions(shifts, k, [4 * spec.size]):
+            if best is not None and covered(amask, residual):
                 continue
             size, witness = _min_search(shifts, amask, residual, r, None, bud)
             assert size is not None and witness is not None

@@ -509,6 +509,13 @@ def test_sweep_oracles_match_naive(k, m, n):
         assert mkmax_exact(m, n, k, r) == max(numbers)
 
 
+def _naive_least(m, n):
+    """Whether a sorted index tuple is least among its images under the naive maps."""
+    cells = canonical_cells(m, n)
+    tables = [[cells.index(g[c]) for c in cells] for g in naive_symmetries(m, n)]
+    return lambda combo: all(tuple(sorted(q[p] for p in combo)) >= combo for q in tables)
+
+
 @pytest.mark.parametrize("m,n", [(1, 4), (4, 1), (2, 2), (3, 2), (2, 4), (3, 3), (4, 3), (4, 4)])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_one_pollution_per_orbit_is_searched(m, n, k):
@@ -519,6 +526,29 @@ def test_one_pollution_per_orbit_is_searched(m, n, k):
     tables = _symmetries(m, n)
     least = [_orbit_least(tables, combo) for combo in combinations(range(m * n), k)]
     assert sum(least) == len(orbits)
+    # the walk lists those least members alone, with no limit to cut any
+    assert len(list(_pollutions(Shifts.of(grid(m, n)), k, [4 * m * n]))) == len(orbits)
+
+
+@st.composite
+def orbit_least_sets(draw):
+    """A board of at most 6x6 and the least image, as a sorted index tuple, of a set on it."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = canonical_cells(m, n)
+    drawn = draw(st.sets(st.sampled_from(cells), min_size=1))
+    images = [tuple(sorted(cells.index(g[c]) for c in drawn)) for g in naive_symmetries(m, n)]
+    return m, n, min(images)
+
+
+@given(case=orbit_least_sets())
+@settings(max_examples=200, deadline=None)
+def test_every_prefix_of_an_orbit_least_set_is_orbit_least(case):
+    # the lemma the orderly walk cuts by: a map that takes a prefix below
+    # itself takes the whole set below too
+    m, n, combo = case
+    least = _naive_least(m, n)
+    assert least(combo)
+    assert all(least(combo[:j]) for j in range(1, len(combo)))
 
 
 @pytest.mark.parametrize(
@@ -532,22 +562,25 @@ def test_mkmin_exact_agrees_with_closed_form(m, n):
 
 
 def test_pollutions_match_naive_perimeter():
-    # every board of at most 12 cells, one-wide ones included, and every k
+    # every board of at most 12 cells, one-wide ones included, and every k:
+    # the walk lists the orbit-least pollutions within the limit, in order
     boards = [(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]
     limits = (0, 4, 8, 10, 14, 18)
     for m, n in boards:
         cells = canonical_cells(m, n)
         shifts = Shifts.of(grid(m, n))
+        least = _naive_least(m, n)
         for k in range(m * n + 1):
             perimeters = {
                 combo: naive_perimeter(c for p, c in enumerate(cells) if p not in combo)
                 for combo in combinations(range(m * n), k)
+                if least(combo)
             }
             for limit in limits + (4 * m * n,):
                 got = list(_pollutions(shifts, k, [limit]))
-                assert [g[0] for g in got] == [c for c, per in perimeters.items() if per <= limit]
-                for combo, amask, residual in got:
-                    assert amask == sum(1 << p for p in combo)
+                expected = [c for c, per in perimeters.items() if per <= limit]
+                assert [amask for amask, _ in got] == [sum(1 << p for p in c) for c in expected]
+                for amask, residual in got:
                     assert residual == (1 << m * n) - 1 - amask
 
 
@@ -556,16 +589,18 @@ def test_pollutions_match_naive_perimeter():
 )
 def test_pollutions_follow_a_lowered_limit(m, n, k, after, lowered):
     cells = canonical_cells(m, n)
-    combos = list(combinations(range(m * n), k))
+    least = _naive_least(m, n)
+    combos = [c for c in combinations(range(m * n), k) if least(c)]
     perimeter = {
         combo: naive_perimeter(c for p, c in enumerate(cells) if p not in combo) for combo in combos
     }
+    masks = {combo: sum(1 << p for p in combo) for combo in combos}
     limit = [4 * m * n]
     walk = _pollutions(Shifts.of(grid(m, n)), k, limit)
     head = [next(walk)[0] for _ in range(after)]
-    assert head == combos[:after]
+    assert head == [masks[c] for c in combos[:after]]
     limit[0] = lowered
-    tail = [c for c in combos[after:] if perimeter[c] <= lowered]
+    tail = [masks[c] for c in combos[after:] if perimeter[c] <= lowered]
     assert 0 < len(tail) < len(combos) - after
     assert [g[0] for g in walk] == tail
 
@@ -766,6 +801,72 @@ def test_mkmin_exact_needs_no_walk_where_the_compact_residual_meets_the_floor(mo
     # the walk, which spends ~61 s on these four before it meets the square
     monkeypatch.setattr(search, "_pollutions", _no_walk)
     assert [mkmin_exact(14, 14, k) for k in (75, 96, 115, 132)] == [11, 10, 9, 8]
+
+
+def test_sweeps_that_list_nothing_build_no_symmetry_tables(monkeypatch):
+    # verify runs the 25x16 and 48x8 rows transposed; at r = 2 the walk starts
+    # on 29 and 269 of them and lists nothing, so no orbit test is made
+    walks = []
+
+    def counted_walk(*args):
+        walks.append(0)
+        for pollution in _pollutions(*args):
+            walks[-1] += 1
+            yield pollution
+
+    monkeypatch.setattr(search, "_symmetries", _refuse)
+    monkeypatch.setattr(search, "_pollutions", counted_walk)
+    for m, n in [(25, 16), (48, 8)]:
+        assert [mkmin_exact(n, m, k) for k in range(m * n + 1)] == [
+            mkmin(m, n, k) for k in range(m * n + 1)
+        ]
+    assert len(walks) == 29 + 269 and not any(walks)
+
+
+def _count_orbit_tests(monkeypatch):
+    """Route ``search._orbit_least`` through a counter; returns the list of combos tested."""
+    tests = []
+
+    def counted(tables, combo):
+        tests.append(combo)
+        return _orbit_least(tables, combo)
+
+    monkeypatch.setattr(search, "_orbit_least", counted)
+    return tests
+
+
+@pytest.mark.parametrize(
+    "m,n,k,tests,listed", [(4, 4, 2, 54, 21), (6, 6, 4, 13_490, 7_509), (6, 5, 4, 12_295, 6_969)]
+)
+def test_unbounded_walk_cuts_by_prefix(m, n, k, tests, listed, monkeypatch):
+    # mkmax_exact's walk: testing each settled pollution alone would take
+    # 120, 58,905 and 27,405 tests, one per pollution
+    tested = _count_orbit_tests(monkeypatch)
+    assert len(list(_pollutions(Shifts.of(grid(m, n)), k, [4 * m * n]))) == listed
+    assert len(tested) == tests
+
+
+def test_tight_walks_run_no_more_orbit_tests_than_they_settle(monkeypatch):
+    # the r = 3 sweeps of 6x4 and 7x4 over every k walk under tight limits,
+    # where testing each prefix would cost more tests than it saves: they
+    # settle 347 and 608 pollutions within their limits, so testing each of
+    # those whole is the most the walk may spend
+    tested = _count_orbit_tests(monkeypatch)
+    walked = []
+
+    def counted_walk(*args):
+        for pollution in _pollutions(*args):
+            walked.append(pollution)
+            yield pollution
+
+    monkeypatch.setattr(search, "_pollutions", counted_walk)
+    for (m, n), before, listed in [((6, 4), 347, 170), ((7, 4), 608, 285)]:
+        tested.clear()
+        walked.clear()
+        for k in range(m * n + 1):
+            mkmin_exact(m, n, k, 3)
+        assert len(tested) <= before
+        assert len(walked) == listed
 
 
 def test_mkmax_exact_witness_cache_keeps_the_naive_maximum():
