@@ -28,7 +28,7 @@ from .formulas import (
     percolation_number_torus,
 )
 from .grid import CellSet, PollutedInstance
-from .render import render_trace
+from .render import _pieces
 from .search import DEFAULT_NODE_BUDGET, _Budget, min_percolating_exact
 from .verify import (
     SuiteReport,
@@ -193,11 +193,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     instance, seeds = _read_board(args.file)
     trace = percolate(instance, seeds, args.r)
-    document = render_trace(trace, args.style)
+    # the checks run before any piece is made or the file is opened
+    pieces = _pieces(trace, args.style)
     if args.output:
-        Path(args.output).write_text(document)
+        with open(args.output, "w") as out:
+            out.writelines(pieces)
     else:
-        sys.stdout.write(document)
+        sys.stdout.writelines(pieces)
     return 0
 
 

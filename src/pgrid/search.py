@@ -442,7 +442,7 @@ def _pollutions(shifts: Shifts, k: int, limit: list[int]):
             # to place can span, with at least d of them in the bottom row
             h = size - p - left
             d = min(m, size - p) - left
-            span = min(r + max(-(-h // r), d) for r in range(-(-h // m), rows + 1))
+            span = _span(h, d, m, rows)
             # the decided cells just above the undecided part: the m before p,
             # but in the last row only those above the columns from p's on
             lo = max(p - m, 0)
@@ -457,6 +457,22 @@ def _pollutions(shifts: Shifts, k: int, limit: list[int]):
         if combo and not least(combo):
             continue
         stack.append((p + 1, healthy, left - 1, counted + west + north, combo))
+
+
+def _span(h: int, d: int, m: int, rows: int) -> int:
+    """min(R + max(ceil(h / R), d)) over ceil(h / m) <= R <= rows, for 1 <= h <= m * rows.
+
+    Taken from six candidates R, not a scan.  A d below 1 may be read as 1,
+    since ceil(h / R) >= 1.  Where R >= ceil(h / d), ceil(h / R) <= d and the
+    sum is R + d, least at the first such R: ceil(h / d) or the lower end.
+    Below that, R * d < h, so ceil(h / R) > d and the sum is R + ceil(h / R),
+    the ceiling of R + h / R, which falls up to sqrt(h) and rises after it:
+    on an interval it is least at floor(sqrt(h)) or the integer above it,
+    or else at an end, the lower end, the upper end or ceil(h / d) - 1.
+    """
+    d = max(d, 1)
+    lo, q, c = -(-h // m), isqrt(h), -(-h // d)
+    return min(r + max(-(-h // r), d) for r in (lo, rows, q, q + 1, c - 1, c) if lo <= r <= rows)
 
 
 def _orbit_least(tables: list[tuple[int, ...]], combo: tuple[int, ...]) -> bool:
@@ -475,15 +491,21 @@ def _orbit_least(tables: list[tuple[int, ...]], combo: tuple[int, ...]) -> bool:
     return True
 
 
+def _repunit(count: int, step: int) -> int:
+    """The mask of ``count`` cells ``step`` apart from cell 0."""
+    return ((1 << count * step) - 1) // ((1 << step) - 1)
+
+
 def _compact_residual(m: int, n: int, t: int) -> tuple[int, int]:
     """A residual of 1 <= t <= mn cells of least perimeter, in the bottom-left corner, and seeds.
 
     While t < s^2, s the short side, it is a near-square: rows of
     ceil(sqrt(t)) cells, the last one partial; after that, whole lines of s
-    cells across the short side, the last one partial.  Built row by row from
-    the bottom, each row a segment from the left edge and none longer than
-    the row below: a Young diagram, whose perimeter is 2(L + H) for a bottom
-    row of L cells and a first column of H.
+    cells across the short side, the last one partial.  Built from the
+    bottom, each row a segment from the left edge and none longer than the
+    row below, with one repunit product per block of equal rows: a Young
+    diagram, whose perimeter is 2(L + H) for a bottom row of L cells and a
+    first column of H.
 
     The seeds lie on its hook, the bottom row and the first column, a path
     of L + H - 1 cells: every other cell from the top of the column, and the
@@ -493,23 +515,31 @@ def _compact_residual(m: int, n: int, t: int) -> tuple[int, int]:
     neighbours inside the diagram.
     """
     s = min(m, n)
+    # blocks of equal rows from the bottom, as (width, rows); only the last
+    # width may be 0, and its row may lie above the board
     if t < s * s:
         w = isqrt(t - 1) + 1
-        widths = [w] * (t // w) + [t % w]
+        blocks = ((w, t // w), (t % w, 1))
     elif m >= n:
         # whole columns, the partial one growing up from the bottom row
         c, extra = divmod(t, n)
-        widths = [c + 1] * extra + [c] * (n - extra)
+        blocks = ((c + 1, extra), (c, n - extra))
     else:
-        widths = [m] * (t // m) + [t % m]
-    # only the last width may be 0, and its row may lie above the board
-    residual = sum(((1 << w) - 1) << (n - 1 - up) * m for up, w in enumerate(widths) if w)
+        blocks = ((m, t // m), (t % m, 1))
+    residual = height = 0
+    for w, rows in blocks:
+        if w and rows:
+            height += rows
+            residual |= ((1 << w) - 1) * _repunit(rows, m) << (n - height) * m
+    width = blocks[0][0] if blocks[0][1] else blocks[1][0]
     corner = (n - 1) * m
-    height = len(widths) - (widths[-1] == 0)
-    # the hook from the top of the first column down and then along the bottom row
-    hook = [corner - up * m for up in range(height - 1, 0, -1)]
-    hook += range(corner, corner + widths[0])
-    return residual, sum(1 << p for p in hook[::2]) | 1 << hook[-1]
+    # every other cell of the hook, from the top of the first column down and
+    # then along the bottom row, whose seeds start at its first cell when
+    # height - 1 is even and at its second when it is odd; and the row's end
+    along = (height - 1) % 2
+    column = _repunit(height // 2, 2 * m) << (n - height) * m
+    row = _repunit((width - along + 1) // 2, 2) << corner + along
+    return residual, column | row | 1 << corner + width - 1
 
 
 def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int | None = None) -> int:

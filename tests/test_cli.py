@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -407,6 +408,47 @@ def test_render_refuses_an_ascii_trace_above_the_cap(board, tmp_path, monkeypatc
     )
     target = tmp_path / "trace.svg"
     assert cli.run(["render", str(board), "--style", "svg", "-o", str(target)]) == 0
+
+
+def test_a_refused_render_writes_nothing(board, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(render, "_MAX_ASCII_CELLS", 6 * 40 - 1)
+    target = tmp_path / "trace.txt"
+    assert cli.run(["render", str(board), "-o", str(target)]) == 1
+    assert not target.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: an ascii trace")
+    missing = tmp_path / "missing" / "trace.svg"
+    assert cli.run(["render", str(board), "--style", "svg", "-o", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "Traceback" not in captured.err and not missing.parent.exists()
+
+
+def test_render_to_a_file_streams_its_pieces(tmp_path, monkeypatch):
+    path = tmp_path / "clean.pgrid"
+    assert cli.run(["construct", "-m", "100", "-n", "100", "-k", "0", "-o", str(path)]) == 0
+    instance, seeds = parse_instance(path.read_text())
+    document = render.render_trace(cli.percolate(instance, seeds, 2), "svg")
+    held = []
+
+    def percolate(*args):
+        # measure from the trace on: what rendering and writing add to it
+        trace = real_percolate(*args)
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return trace
+
+    real_percolate = cli.percolate
+    monkeypatch.setattr(cli, "percolate", percolate)
+    target = tmp_path / "trace.svg"
+    tracemalloc.start()
+    try:
+        assert cli.run(["render", str(path), "--style", "svg", "-o", str(target)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - held[0]
+    finally:
+        tracemalloc.stop()
+    assert target.read_text() == document
+    assert peak < len(document), (peak, len(document))
 
 
 def test_oversized_board_is_a_prompt_domain_error(capsys):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,3 +218,37 @@ def test_ascii_cap_counts_every_frame(monkeypatch):
 def test_ascii_cap_admits_the_clean_300x300_trace():
     trace = percolate(PollutedInstance.of(grid(300, 300)), construct_extremal(300, 300, 0).seeds)
     assert (trace.round_count + 1) * 300 * 300 <= render._MAX_ASCII_CELLS
+
+
+def test_render_pieces_end_in_newlines_one_per_group_or_frame():
+    trace = _trace(grid(5, 4), [(3, 2)], [(1, 1), (5, 4), (2, 3)])
+    for style, opening in (("svg", "<g id="), ("ascii", "round ")):
+        pieces = list(render._pieces(trace, style))
+        assert "".join(pieces) == render_trace(trace, style)
+        assert all(piece.endswith("\n") for piece in pieces)
+        body = pieces[1:-1]
+        assert len(body) == trace.round_count + 1 + (style == "svg")
+        assert all(piece.startswith(opening) and piece.count(opening) == 1 for piece in body)
+
+
+def test_render_pieces_are_checked_before_the_first_is_made(monkeypatch):
+    trace = _trace(grid(4, 3), [], [(1, 1), (4, 3)])
+    with pytest.raises(ParameterError, match="unknown render style"):
+        render._pieces(trace, "png")
+    monkeypatch.setattr(render, "_MAX_ASCII_CELLS", 11)
+    with pytest.raises(ParameterError, match="use --style svg"):
+        render._pieces(trace, "ascii")
+
+
+@pytest.mark.parametrize("style", ["svg", "ascii"])
+def test_render_peak_memory_is_about_twice_the_document(style):
+    # the pieces, then the document joined from them, and nothing per cell
+    trace = percolate(PollutedInstance.of(grid(100, 100)), construct_extremal(100, 100, 0).seeds)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        document = render_trace(trace, style)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * len(document), (peak, len(document))

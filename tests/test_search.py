@@ -1,6 +1,7 @@
 from collections import Counter
 from functools import cache
 from itertools import combinations
+from math import isqrt
 import os
 from pathlib import Path
 import subprocess
@@ -561,6 +562,15 @@ def test_mkmin_exact_agrees_with_closed_form(m, n):
         assert mkmin_exact(m, n, k) == mkmin(m, n, k)
 
 
+def test_span_matches_the_scan_over_every_row_count():
+    for m in range(1, 25):
+        for rows in range(1, 25):
+            for h in range(1, min(24, m * rows) + 1):
+                for d in range(-2, min(m, h) + 1):
+                    scan = min(r + max(-(-h // r), d) for r in range(-(-h // m), rows + 1))
+                    assert search._span(h, d, m, rows) == scan, (h, d, m, rows)
+
+
 def test_pollutions_match_naive_perimeter():
     # every board of at most 12 cells, one-wide ones included, and every k:
     # the walk lists the orbit-least pollutions within the limit, in order
@@ -679,6 +689,34 @@ def test_hook_seeds_percolate_the_compact_residual_at_its_floor():
                 mask, seeds = search._compact_residual(m, n, t)
                 assert closure_mask(shifts, shifts.full ^ mask, seeds, 2) == mask, (m, n, t)
                 assert seeds.bit_count() == shifts.seed_floor(mask, 2), (m, n, t)
+
+
+def _compact_residual_row_by_row(m, n, t):
+    """The compact residual and its hook seeds, one shift per row and one per seed."""
+    s = min(m, n)
+    if t < s * s:
+        w = isqrt(t - 1) + 1
+        widths = [w] * (t // w) + [t % w]
+    elif m >= n:
+        c, extra = divmod(t, n)
+        widths = [c + 1] * extra + [c] * (n - extra)
+    else:
+        widths = [m] * (t // m) + [t % m]
+    residual = sum(((1 << w) - 1) << (n - 1 - up) * m for up, w in enumerate(widths) if w)
+    corner = (n - 1) * m
+    height = len(widths) - (widths[-1] == 0)
+    # the hook from the top of the first column down and then along the bottom row
+    hook = [*range(corner - (height - 1) * m, corner, m), *range(corner, corner + widths[0])]
+    return residual, sum(map((1).__lshift__, hook[::2])) | 1 << hook[-1]
+
+
+def test_compact_residual_matches_the_row_by_row_construction():
+    for m in range(1, 401):
+        for n in range(1, 400 // m + 1):
+            for t in range(1, m * n + 1):
+                assert search._compact_residual(m, n, t) == _compact_residual_row_by_row(m, n, t), (
+                    m, n, t,
+                )
 
 
 _real_compact_residual = search._compact_residual
