@@ -5,11 +5,13 @@ of every k.  While k <= (m-n)n the polluted set deletes the last columns and
 the seeds alternate along the first column and first row of what is left;
 after that the residual is kept as close to a square as possible and seeded
 the same way.  One builder, ``_extremal_masks``, makes both masks of every k
-by index arithmetic, with no coordinate lists.  For the worst-pollution lower
-bound the polluted set is an independent set of interior degree-4 vertices.
-One check, ``_checked_masks``, counts a witness's cells and closes it once;
-every witness returned here passes it, and so does every construction row of
-``verify theorem1``, on one set of shift constants per board.
+by index arithmetic, with no coordinate lists, on boards of either
+orientation, and ``mkmin_exact`` starts its sweeps from it.  For the
+worst-pollution lower bound the polluted set is an independent set of
+interior degree-4 vertices.  One check, ``_checked_masks``, counts a
+witness's cells and closes it once; every witness returned here passes it,
+and so does every construction row of ``verify theorem1``, on one set of
+shift constants per board.
 """
 
 from __future__ import annotations
@@ -66,18 +68,28 @@ def _extremal_masks(spec: GridSpec, k: int) -> tuple[int, int]:
     While k <= (m-n)n, k = 0 included, the pollution is the last floor(k/n)
     full columns plus the k mod n leftover cells down the top of the next
     column, and the seeds alternate down column 1 and along row 1 of the
-    m - floor(k/n) columns left.  After that, with t = mn - k, x = floor(sqrt(t))
-    and o = t - x*x, everything is polluted except a lower-left residual: the
-    x by x square, plus o cells of a new top row when 0 < o <= x, plus that
-    full row and o - x cells of a new right column when o > x; it is seeded
-    the same way.  At k = (m-n)n both leave the n by n square with the same
-    seeds.  No validation: 2 <= n <= m and 0 <= k <= mn are assumed.
+    m - floor(k/n) columns left.  On a tall board, while k <= (n-m)m, it is
+    the top floor(k/m) full rows plus the k mod m rightmost cells of the row
+    below them, seeded the same way on the n - floor(k/m) rows left.  After
+    that, with t = mn - k, x = floor(sqrt(t)) and o = t - x*x, everything is
+    polluted except a lower-left residual: the x by x square, plus o cells of
+    a new top row when 0 < o <= x, plus that full row and o - x cells of a new
+    right column when o > x; it is seeded the same way.  Where the branches
+    meet they leave the same square with the same seeds.  Every residual has
+    the least perimeter of its cells on the board, and its ceil(phi_2 / 4)
+    seeds percolate it at r = 2.  No validation: any m, n >= 1 and
+    0 <= k <= mn are assumed.
     """
     m, n = spec.m, spec.n
     if k <= (m - n) * n:
         ell, rest = divmod(k, n)
         polluted = _block(spec, ell, n, m - ell + 1) | _block(spec, 1, rest, m - ell, n + 1 - rest)
         return polluted, _alternating_path_seeds(spec, m - ell, n)
+    if k <= (n - m) * m:
+        ell, rest = divmod(k, m)
+        polluted = _block(spec, m, ell, 1, n - ell + 1)
+        polluted |= _block(spec, rest, 1, m - rest + 1, n - ell)
+        return polluted, _alternating_path_seeds(spec, m, n - ell)
     t = m * n - k
     x = isqrt(t)
     o = t - x * x

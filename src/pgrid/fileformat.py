@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from .errors import InvariantError, ParameterError, ParseError
-from .grid import CellSet, GridSpec, PollutedInstance, Topology, _mask_of, _paint, _rows
+from .grid import CellSet, GridSpec, PollutedInstance, Topology, _mask_of, _paint
 
 HEADER = "pgrid v1"
 CH_HEALTHY = "."
@@ -76,9 +76,9 @@ def parse_instance(text: str) -> tuple[PollutedInstance, CellSet]:
 def write_instance(instance: PollutedInstance, seeds: CellSet | None = None) -> str:
     """Render an instance (and optional seed set) as a pgrid v1 document.
 
-    Costs C-level passes over the board (the canvas, the size/8 bytes of each
-    mask and the text rows) plus a Python step per polluted and seeded cell,
-    each painted once.
+    Costs C-level passes over the board (the canvas, which holds each row's
+    newline, the size/8 bytes of each mask and one decode) plus a Python step
+    per polluted and seeded cell, each painted once.
     """
     spec = instance.spec
     if seeds is None:
@@ -88,8 +88,8 @@ def write_instance(instance: PollutedInstance, seeds: CellSet | None = None) -> 
     if seeds.mask & instance.polluted.mask:
         raise InvariantError("a seed on a polluted cell cannot be represented")
 
-    canvas = bytearray(CH_HEALTHY * spec.size, "ascii")
-    _paint(canvas, instance.polluted.mask, CH_POLLUTED)
-    _paint(canvas, seeds.mask, CH_SEED)
-    lines = [HEADER, f"m={spec.m} n={spec.n} topology={spec.topology.value}"]
-    return "\n".join(lines + _rows(canvas, spec.m)) + "\n"
+    canvas = bytearray((CH_HEALTHY * spec.m + "\n") * spec.n, "ascii")
+    _paint(canvas, instance.polluted.mask, CH_POLLUTED, spec.m)
+    _paint(canvas, seeds.mask, CH_SEED, spec.m)
+    meta = f"m={spec.m} n={spec.n} topology={spec.topology.value}"
+    return f"{HEADER}\n{meta}\n{canvas.decode('ascii')}"

@@ -287,24 +287,18 @@ def _set_bits(mask: int) -> Iterator[int]:
         i = find(1, i + 1)
 
 
-def _paint(canvas: bytearray, mask: int, char: str) -> None:
-    """Write ``char`` at every cell of ``mask`` on a canvas of one byte per cell.
+def _paint(canvas: bytearray, mask: int, char: str, m: int) -> None:
+    """Write ``char`` at every cell of ``mask`` on a canvas of m-cell rows, each with its newline.
 
     The cost is that of :func:`_set_bits` plus one byte store per cell.
     """
     code = ord(char)
     for p in _set_bits(mask):
-        canvas[p] = code
-
-
-def _rows(canvas: bytearray, m: int) -> list[str]:
-    """A canvas as text rows of ``m`` cells, top row first."""
-    text = canvas.decode("ascii")
-    return [text[p : p + m] for p in range(0, len(text), m)]
+        canvas[p + p // m] = code
 
 
 def _mask_of(cells: bytes, char: str) -> int:
-    """Inverse of :func:`_paint`: the mask of the cells that hold ``char``."""
+    """The mask of the cells that hold ``char``, on a canvas of one byte per cell."""
     code = ord(char)
     table = b"0" * code + b"1" + b"0" * (255 - code)
     return int(cells.translate(table)[::-1], 2)

@@ -27,7 +27,7 @@ from typing import Iterator
 
 from .engine import PercolationTrace
 from .errors import ParameterError
-from .grid import Topology, _set_bits
+from .grid import Topology, _paint, _set_bits
 
 #: Largest ASCII trace, in cells over all (rounds + 1) frames: the clean 300x300
 #: board's 598 frames draw 53.8M, where the clean 1024x1024 board's need gigabytes.
@@ -60,16 +60,10 @@ def _ascii_frames(trace: PercolationTrace) -> Iterator[str]:
     m = spec.m
     # one byte per cell plus a newline closing each row, so a frame is one decode
     canvas = bytearray((b"." * m + b"\n") * spec.n)
-
-    def paint(mask: int, char: str) -> None:
-        code = ord(char)
-        for p in _set_bits(mask):
-            canvas[p + p // m] = code
-
-    paint(trace.instance.polluted.mask, "X")
+    _paint(canvas, trace.instance.polluted.mask, "X", m)
     yield f"{_header(trace)}\n"
     for frame, cells in enumerate(trace.rounds):
-        paint(cells.mask, "o123456789"[frame] if frame <= 9 else "+")
+        _paint(canvas, cells.mask, "o123456789"[frame] if frame <= 9 else "+", m)
         yield f"round {frame}:\n{canvas.decode('ascii')}"
     yield f"percolated: {'true' if trace.percolated else 'false'}\n"
 

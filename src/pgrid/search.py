@@ -87,17 +87,18 @@ best b so far exactly when its perimeter is at most 2r(b - 1) - (2r - 4)t,
 and that is its limit.
 
 Both sweeps start from what they already know.  ``mkmin_exact`` first
-takes a best so far b from one compact residual, a near-square or whole
-lines of the short side in the bottom-left corner: at r = 2 the size of
-the seeds on its hook, which one closure checks, and which meet the
-residual's own start bound ceil(phi_2 / 4); at other r, or should the
-seeds fail, the residual's exact value, by search.  Any residual that
-beats b has phi_r <= 2r(b - 1), so the walk lists only those, and none at
-all when b meets the floor ceil(phi_r / 2r) of the least perimeter of t
-cells.  ``mkmax_exact`` first closes each of its 8 most recent witnesses
-that avoid a pollution A, each of at most best seeds; one that percolates
-G - A proves m(G - A) <= best, and A is skipped.  The compact residual is
-itself one of the sweep's pollutions, and a skipped A cannot raise the
+takes a best so far b from the witness of theorem 1, the pollution of
+:func:`constructions._extremal_masks`, which leaves a residual of least
+perimeter in the bottom-left corner: at r = 2 the size of its seeds,
+which one closure checks, and which meet the residual's own start bound
+ceil(phi_2 / 4); at other r, or should the seeds fail, the residual's
+exact value, by search.  Any residual that beats b has phi_r <= 2r(b - 1),
+so the walk lists only those, and none at all when b meets the floor
+ceil(phi_r / 2r) of the least perimeter of t cells.  ``mkmax_exact`` first
+closes each of its 8 most recent witnesses that avoid a pollution A, each
+of at most best seeds; one that percolates G - A proves m(G - A) <= best,
+and A is skipped.  The witness's pollution, whose k cells are counted
+first, is itself one of the sweep's, and a skipped A cannot raise the
 maximum, so both values are those of the full sweep; only the order of the
 work and the budget counts change.
 
@@ -115,8 +116,9 @@ from math import isqrt
 from operator import eq
 from typing import Iterator
 
+from .constructions import _extremal_masks
 from .engine import closure_mask
-from .errors import BudgetExceededError, ParameterError
+from .errors import BudgetExceededError, InternalConsistencyError, ParameterError
 from .grid import (
     CellSet,
     PollutedInstance,
@@ -491,80 +493,29 @@ def _orbit_least(tables: list[tuple[int, ...]], combo: tuple[int, ...]) -> bool:
     return True
 
 
-def _repunit(count: int, step: int) -> int:
-    """The mask of ``count`` cells ``step`` apart from cell 0."""
-    return ((1 << count * step) - 1) // ((1 << step) - 1)
-
-
-def _compact_residual(m: int, n: int, t: int) -> tuple[int, int]:
-    """A residual of 1 <= t <= mn cells of least perimeter, in the bottom-left corner, and seeds.
-
-    While t < s^2, s the short side, it is a near-square: rows of
-    ceil(sqrt(t)) cells, the last one partial; after that, whole lines of s
-    cells across the short side, the last one partial.  Built from the
-    bottom, each row a segment from the left edge and none longer than the
-    row below, with one repunit product per block of equal rows: a Young
-    diagram, whose perimeter is 2(L + H) for a bottom row of L cells and a
-    first column of H.
-
-    The seeds lie on its hook, the bottom row and the first column, a path
-    of L + H - 1 cells: every other cell from the top of the column, and the
-    end of the row, ceil((L + H) / 2) cells, the floor ceil(phi_2 / 4).  At
-    r = 2 they percolate it: each other hook cell has two seeded neighbours
-    on the path, and then each cell off the hook has its left and lower
-    neighbours inside the diagram.
-    """
-    s = min(m, n)
-    # blocks of equal rows from the bottom, as (width, rows); only the last
-    # width may be 0, and its row may lie above the board
-    if t < s * s:
-        w = isqrt(t - 1) + 1
-        blocks = ((w, t // w), (t % w, 1))
-    elif m >= n:
-        # whole columns, the partial one growing up from the bottom row
-        c, extra = divmod(t, n)
-        blocks = ((c + 1, extra), (c, n - extra))
-    else:
-        blocks = ((m, t // m), (t % m, 1))
-    residual = height = 0
-    for w, rows in blocks:
-        if w and rows:
-            height += rows
-            residual |= ((1 << w) - 1) * _repunit(rows, m) << (n - height) * m
-    width = blocks[0][0] if blocks[0][1] else blocks[1][0]
-    corner = (n - 1) * m
-    # every other cell of the hook, from the top of the first column down and
-    # then along the bottom row, whose seeds start at its first cell when
-    # height - 1 is even and at its second when it is odd; and the row's end
-    along = (height - 1) % 2
-    column = _repunit(height // 2, 2 * m) << (n - height) * m
-    row = _repunit((width - along + 1) // 2, 2) << corner + along
-    return residual, column | row | 1 << corner + width - 1
-
-
 def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int | None = None) -> int:
     """Exact best case over pollution: min over all |A| = k of m(G - A, r).
 
-    The sweep first takes a best so far b from one compact residual, from
-    :func:`_compact_residual`: at r = 2 the size of its hook seeds, which
+    The sweep first takes a best so far b from the witness of theorem 1, from
+    :func:`constructions._extremal_masks`, whose pollution must have k cells
+    (InternalConsistencyError if not): at r = 2 the size of its seeds, which
     one closure checks, and otherwise, or should they fail to percolate, the
-    residual's exact value, by search.  It stops there if b is the floor
-    every residual of t cells needs, or if k = 0, where that residual is the
-    only one; there seeds above its own floor ceil(phi_2 / 4) would not give
-    its value, and it is searched instead.  Where no cell of
-    the board has r neighbours (r >= 3 one wide, r >= 4 two wide, r >= 5
-    anywhere) that floor is t, since no residual cell can ever be infected,
-    and the compact residual meets it.  Otherwise it
-    searches one pollution per orbit of the grid's symmetries, and none whose
-    start bound is no better than the best so far.  That bound is
-    ceil(phi_r / 2r) with phi_r = perimeter + (2r - 4)t, and every residual
-    has t = mn - k cells, so once the best is b only residuals of perimeter
-    at most 2r(b - 1) - (2r - 4)t can beat it, and only those are listed.  The
-    compact residual is one of the pollutions the sweep ranges over, so b
-    is no less than the minimum and every residual below b is listed:
-    starting from it changes only the order of the work, never the value,
-    that of the full sweep.  ``budget`` counts the closures of the searches
-    made, the compact residual's included; None allows
+    residual's exact value, by search.  It stops there if b is the floor every
+    residual of t cells needs, or if k = 0, where that residual is the only
+    one; there seeds above its own floor ceil(phi_2 / 4) would not give its
+    value, and it is searched instead.  Where no cell of the board has r
+    neighbours (r >= 3 one wide, r >= 4 two wide, r >= 5 anywhere) that floor
+    is t, since no residual cell can ever be infected, and the first residual
+    meets it.  Otherwise it searches one pollution per orbit of the grid's
+    symmetries, and none whose start bound is no better than the best so far.
+    That bound is ceil(phi_r / 2r) with phi_r = perimeter + (2r - 4)t, and
+    every residual has t = mn - k cells, so once the best is b only residuals
+    of perimeter at most 2r(b - 1) - (2r - 4)t can beat it, and only those are
+    listed.  The witness's pollution is one of those the sweep ranges over, so
+    b is no less than the minimum and every residual below b is listed:
+    starting from it changes only the order of the work, never the value, that
+    of the full sweep.  ``budget`` counts the closures of the searches made,
+    the first residual's included; None allows
     floor(DEFAULT_NODE_BUDGET / ceil(mn / 64)).
     """
     spec, shifts = _sweep_setup(m, n, k, r)
@@ -579,17 +530,20 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int | None = None) -
     if not shifts.at_least(shifts.full, r) & shifts.full:
         floor = t
     best: int | None = None
+    polluted, seeds = _extremal_masks(spec, k)
+    # only a pollution of k cells is one of those the sweep ranges over
+    if polluted.bit_count() != k:
+        raise InternalConsistencyError(f"witness for m={m}, n={n}, k={k} failed verification")
+    residual = shifts.full ^ polluted
     try:
-        residual, seeds = _compact_residual(m, n, t)
-        blocked = shifts.full ^ residual
         if r == 2:
             bud.tick()
-            if closure_mask(shifts, blocked, seeds, r) == residual:
+            if closure_mask(shifts, polluted, seeds, r) == residual:
                 best = seeds.bit_count()
         # at k = 0 no walk follows, so seeds above the residual's own floor
         # leave its value unknown
         if best is None or (not k and best > shifts.seed_floor(residual, r)):
-            best, _ = _min_search(shifts, blocked, residual, r, None, bud)
+            best, _ = _min_search(shifts, polluted, residual, r, None, bud)
             assert best is not None
         if k and best > floor:
             # a residual of perimeter above this needs best seeds or more

@@ -45,7 +45,7 @@ _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 _TRACE_M, _TRACE_N = 8, 5
 _TRACE_MAX_POLLUTION = 13
 # Largest sweeps accepted.  The construction rows grow about as the square of
-# the limit: 400 checks 189,796 rows, in 8-11 s at a peak RSS of 64 MiB with
+# the limit: 400 checks 189,796 rows, in 8-11 s at a peak RSS of 45 MiB with
 # --csv or --json on a 2-vCPU host, where 1,000 would check 1,401,085.  The
 # oracle rows reach the same boards: 400 and 400 check 379,592 rows in ~34 s.
 # 10,000 trace samples take ~1 s and 22 MiB.
@@ -201,24 +201,9 @@ def verify_theorem1(max_mn_exhaustive: int, max_mn_construction: int) -> SuiteRe
             f"construction boards beyond mn = {_MAX_CONSTRUCTION_MN} are out of reach, "
             f"got {max_mn_construction}"
         )
+    # the rows in report order: construction-only, then oracle-certified, each by m, n, k
     rows: list[CheckRow] = []
-    for m, n in _grid_shapes(max_mn_exhaustive):
-        for k in range(m * n + 1):
-            t0 = time.perf_counter()
-            expected = mkmin(m, n, k)
-            actual: object
-            try:
-                # the n x m board has the same value, and its short rows let the
-                # oracle's pollution walk cut far earlier than m x n's long ones
-                actual = mkmin_exact(n, m, k, 2)
-                ok = actual == expected
-            except BudgetExceededError as exc:
-                actual = f"budget exceeded: {exc}"
-                ok = False
-            rows.append(
-                CheckRow("theorem1.oracle-certified", m, n, k, expected, actual, ok, _ms(t0))
-            )
-    for m, n in _grid_shapes(max_mn_construction):
+    for m, n in sorted(_grid_shapes(max_mn_construction)):
         spec = grid(m, n)
         shifts = Shifts.of(spec)
         for k in range(m * n + 1):
@@ -244,11 +229,27 @@ def verify_theorem1(max_mn_exhaustive: int, max_mn_construction: int) -> SuiteRe
             rows.append(
                 CheckRow("theorem1.construction-only", m, n, k, expected, actual, ok, _ms(t0), note)
             )
+    for m, n in sorted(_grid_shapes(max_mn_exhaustive)):
+        for k in range(m * n + 1):
+            t0 = time.perf_counter()
+            expected = mkmin(m, n, k)
+            actual: object
+            try:
+                # the n x m board has the same value, and its short rows let the
+                # oracle's pollution walk cut far earlier than m x n's long ones
+                actual = mkmin_exact(n, m, k, 2)
+                ok = actual == expected
+            except BudgetExceededError as exc:
+                actual = f"budget exceeded: {exc}"
+                ok = False
+            rows.append(
+                CheckRow("theorem1.oracle-certified", m, n, k, expected, actual, ok, _ms(t0))
+            )
     limits = {
         "max_mn_exhaustive": max_mn_exhaustive,
         "max_mn_construction": max_mn_construction,
     }
-    return SuiteReport("theorem1", limits, None, _sorted_rows(rows))
+    return SuiteReport("theorem1", limits, None, rows)
 
 
 def verify_monotonicity(max_mn: int) -> SuiteReport:
@@ -377,7 +378,7 @@ def verify_perimeter(max_t: int, trace_samples: int, seed: int = 0) -> SuiteRepo
             )
         )
     limits = {"max_t": max_t, "trace_samples": trace_samples}
-    return SuiteReport("perimeter", limits, seed, _sorted_rows(rows))
+    return SuiteReport("perimeter", limits, seed, rows)
 
 
 def verify_torus_and_max(max_mn: int) -> SuiteReport:

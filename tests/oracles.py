@@ -135,17 +135,22 @@ def naive_extremal(m, n, k):
     """Polluted and seeded cells of the extremal witness for mkmin(m, n, k).
 
     While k <= (m-n)n the pollution deletes the last k // n columns and the
-    top k % n cells of the column before them.  Beyond that the healthy cells
-    are an x by x square in the lower-left corner (x*x <= mn - k < (x+1)^2),
-    then the rest along a new top row, left to right, and up a new right
-    column.  Either way the seeds alternate along the healthy region's first
-    column and bottom row.
+    top k % n cells of the column before them; on a tall board, while
+    k <= (n-m)m, it deletes the top k // m rows and the right k % m cells of
+    the row below them.  Beyond that the healthy cells are an x by x square
+    in the lower-left corner (x*x <= mn - k < (x+1)^2), then the rest along a
+    new top row, left to right, and up a new right column.  Either way the
+    seeds alternate along the healthy region's first column and bottom row.
     """
     cells = canonical_cells(m, n)
     if k <= (m - n) * n:
         width = m - k // n
         healthy = {(i, j) for i, j in cells if i < width or i == width and j <= n - k % n}
         return set(cells) - healthy, naive_alternating_path(width, n)
+    if k <= (n - m) * m:
+        height = n - k // m
+        healthy = {(i, j) for i, j in cells if j < height or j == height and i <= m - k % m}
+        return set(cells) - healthy, naive_alternating_path(m, height)
     t = m * n - k
     x = 0
     while (x + 1) * (x + 1) <= t:

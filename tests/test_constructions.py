@@ -13,6 +13,7 @@ from pgrid import (
     mkmin,
     pollution_max_independent,
 )
+from pgrid.constructions import _extremal_masks
 from pgrid.grid import Shifts
 
 
@@ -104,6 +105,10 @@ def test_construct_extremal_matches_coordinate_reference():
                 polluted, seeds = naive_extremal(m, n, k)
                 assert witness.instance.polluted.mask == mask_of_cells(m, n, polluted), (m, n, k)
                 assert witness.seeds.mask == mask_of_cells(m, n, seeds), (m, n, k)
+                # the tall board, which only mkmin_exact builds
+                polluted, seeds = naive_extremal(n, m, k)
+                masks = mask_of_cells(n, m, polluted), mask_of_cells(n, m, seeds)
+                assert _extremal_masks(grid(n, m), k) == masks, (n, m, k)
                 cases += 1
     assert cases == 8728
 

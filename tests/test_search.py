@@ -1,7 +1,6 @@
 from collections import Counter
 from functools import cache
 from itertools import combinations
-from math import isqrt
 import os
 from pathlib import Path
 import subprocess
@@ -14,6 +13,7 @@ import pytest
 
 from pgrid import (
     BudgetExceededError,
+    InternalConsistencyError,
     ParameterError,
     PollutedInstance,
     Vertex,
@@ -29,6 +29,7 @@ from pgrid import (
     torus,
 )
 from pgrid import search
+from pgrid.constructions import _extremal_masks
 from pgrid.engine import closure_mask
 from pgrid.grid import Shifts, _symmetries
 from pgrid.search import _fixed_polyominoes, _orbit_least, _pollutions
@@ -632,9 +633,9 @@ def _assert_sweep_error(exc, value, nodes, lower_bound, upper_bound):
 
 
 def test_mkmin_exact_budget_error_carries_bounds(monkeypatch):
-    # one closure checks the hook seeds, which meet the floor of 3
+    # one closure checks the witness's seeds, which meet the floor of 3
     assert mkmin_exact(3, 3, 1, budget=1) == 3
-    # at r = 3 the compact residual's search gives 12 over the floor 11, and
+    # at r = 3 the first residual's search gives 12 over the floor 11, and
     # the walk runs out before it finds 11
     with pytest.raises(BudgetExceededError) as exc:
         mkmin_exact(5, 5, 3, 3, budget=100)
@@ -645,7 +646,7 @@ def test_mkmin_exact_budget_error_carries_bounds(monkeypatch):
     _assert_sweep_error(exc.value, mkmin_exact(6, 5, 0, 3), 2, 14, 30)
     # at r = 2 with every residual cell a seed the best starts at t = 8, and
     # the walk runs out before it finds 3
-    monkeypatch.setattr(search, "_compact_residual", _whole)
+    monkeypatch.setattr(search, "_extremal_masks", _whole)
     with pytest.raises(BudgetExceededError) as exc:
         mkmin_exact(3, 3, 1, budget=10)
     _assert_sweep_error(exc.value, 3, 11, 3, 8)
@@ -668,70 +669,46 @@ def _naive_numbers(m, n, k, r):
     return naive_pollution_numbers(m, n, k, r)
 
 
-def test_compact_residual_has_the_least_perimeter_on_its_board():
-    for m in range(1, 151):
-        for n in range(1, 150 // m + 1):
-            s = min(m, n)
-            perimeter = Shifts.of(grid(m, n)).perimeter
-            for t in range(1, m * n + 1):
-                mask, _ = search._compact_residual(m, n, t)
-                assert mask.bit_count() == t and mask >> m * n == 0, (m, n, t)
-                assert mask >> (n - 1) * m & 1, (m, n, t)  # the bottom-left cell
-                least = min_perimeter(t) if t < s * s else min_perimeter_height_bounded(t, s)
-                assert perimeter(mask) == least, (m, n, t)
-
-
-def test_hook_seeds_percolate_the_compact_residual_at_its_floor():
-    for m in range(1, 151):
-        for n in range(1, 150 // m + 1):
-            shifts = Shifts.of(grid(m, n))
-            for t in range(1, m * n + 1):
-                mask, seeds = search._compact_residual(m, n, t)
-                assert closure_mask(shifts, shifts.full ^ mask, seeds, 2) == mask, (m, n, t)
-                assert seeds.bit_count() == shifts.seed_floor(mask, 2), (m, n, t)
-
-
-def _compact_residual_row_by_row(m, n, t):
-    """The compact residual and its hook seeds, one shift per row and one per seed."""
-    s = min(m, n)
-    if t < s * s:
-        w = isqrt(t - 1) + 1
-        widths = [w] * (t // w) + [t % w]
-    elif m >= n:
-        c, extra = divmod(t, n)
-        widths = [c + 1] * extra + [c] * (n - extra)
-    else:
-        widths = [m] * (t // m) + [t % m]
-    residual = sum(((1 << w) - 1) << (n - 1 - up) * m for up, w in enumerate(widths) if w)
-    corner = (n - 1) * m
-    height = len(widths) - (widths[-1] == 0)
-    # the hook from the top of the first column down and then along the bottom row
-    hook = [*range(corner - (height - 1) * m, corner, m), *range(corner, corner + widths[0])]
-    return residual, sum(map((1).__lshift__, hook[::2])) | 1 << hook[-1]
-
-
-def test_compact_residual_matches_the_row_by_row_construction():
+def test_extremal_masks_leave_a_least_perimeter_corner_that_their_seeds_percolate():
+    # every board of at most 400 cells, both orientations and one-wide ones
+    # included: the first residual of every mkmin_exact sweep
     for m in range(1, 401):
         for n in range(1, 400 // m + 1):
-            for t in range(1, m * n + 1):
-                assert search._compact_residual(m, n, t) == _compact_residual_row_by_row(m, n, t), (
-                    m, n, t,
-                )
+            spec = grid(m, n)
+            shifts = Shifts.of(spec)
+            s = min(m, n)
+            for k in range(m * n):
+                t = m * n - k
+                polluted, seeds = _extremal_masks(spec, k)
+                residual = shifts.full ^ polluted
+                assert polluted.bit_count() == k and polluted >> m * n == 0, (m, n, k)
+                assert residual >> (n - 1) * m & 1, (m, n, k)  # the bottom-left cell
+                least = min_perimeter(t) if t < s * s else min_perimeter_height_bounded(t, s)
+                assert shifts.perimeter(residual) == least, (m, n, k)
+                assert closure_mask(shifts, polluted, seeds, 2) == residual, (m, n, k)
+                assert seeds.bit_count() == shifts.seed_floor(residual, 2), (m, n, k)
 
 
-_real_compact_residual = search._compact_residual
+def _whole(spec, k):
+    """The theorem-1 witness with every residual cell a seed: they percolate, t of them."""
+    polluted, _ = _extremal_masks(spec, k)
+    return polluted, (1 << spec.size) - 1 ^ polluted
 
 
-def _whole(m, n, t):
-    """The compact residual with every one of its cells a seed: they percolate, t of them."""
-    mask, _ = _real_compact_residual(m, n, t)
-    return mask, mask
+def _short(spec, k):
+    """The theorem-1 witness with its seeds less one: below its floor, so they fail."""
+    polluted, seeds = _extremal_masks(spec, k)
+    return polluted, seeds & seeds - 1
 
 
-def _short(m, n, t):
-    """The compact residual with its hook seeds less one: below its floor, so they fail."""
-    mask, seeds = _real_compact_residual(m, n, t)
-    return mask, seeds & seeds - 1
+def test_mkmin_exact_refuses_a_first_pollution_of_the_wrong_size(monkeypatch):
+    def loose(spec, k):
+        polluted, seeds = _extremal_masks(spec, k)
+        return polluted & polluted - 1, seeds
+
+    monkeypatch.setattr(search, "_extremal_masks", loose)
+    with pytest.raises(InternalConsistencyError, match="witness for m=4, n=3, k=5 failed"):
+        mkmin_exact(4, 3, 5)
 
 
 @pytest.mark.parametrize("poor", [_short, _whole])
@@ -744,12 +721,12 @@ def test_mkmin_exact_value_does_not_depend_on_the_hook_seeds(poor, monkeypatch):
 
     real_search = search._min_search
     monkeypatch.setattr(search, "_min_search", min_search)
-    monkeypatch.setattr(search, "_compact_residual", poor)
+    monkeypatch.setattr(search, "_extremal_masks", poor)
     for m, n in NAIVE_SWEEP_BOARDS:
         for k in range(m * n + 1):
             assert mkmin_exact(m, n, k) == min(_naive_numbers(m, n, k, 2)), (m, n, k)
     if poor is _short:
-        # seeds that fail send every sweep with t > 0 to the compact residual's search
+        # seeds that fail send every sweep with t > 0 to the first residual's search
         assert searched.count(True) == sum(m * n for m, n in NAIVE_SWEEP_BOARDS)
     else:
         # seeds that percolate above the floor leave the minimum to the walk
@@ -766,8 +743,9 @@ def test_mkmin_exact_searches_no_compact_residual_at_r2(monkeypatch):
     real_search = search._min_search
     monkeypatch.setattr(search, "_min_search", min_search)
     assert [mkmin_exact(14, 14, k) for k in range(197)] == [mkmin(14, 14, k) for k in range(197)]
-    compact = {_real_compact_residual(14, 14, t)[0] for t in range(1, 197)}
-    assert not compact.intersection(calls)
+    spec = grid(14, 14)
+    first = {(1 << 196) - 1 ^ _extremal_masks(spec, k)[0] for k in range(196)}
+    assert not first.intersection(calls)
 
 
 def _scattered(m, n, t):
@@ -783,12 +761,12 @@ def _scattered(m, n, t):
 def test_mkmin_exact_value_does_not_depend_on_the_compact_residual(monkeypatch):
     calls = []
 
-    def scattered(m, n, t):
-        calls.append((m, n, t))
+    def scattered(spec, k):
+        calls.append((spec.m, spec.n, k))
         # no seeds percolate it, so the sweep searches it at every r
-        return _scattered(m, n, t), 0
+        return (1 << spec.size) - 1 ^ _scattered(spec.m, spec.n, spec.size - k), 0
 
-    monkeypatch.setattr(search, "_compact_residual", scattered)
+    monkeypatch.setattr(search, "_extremal_masks", scattered)
     poorer = 0
     for m, n in NAIVE_SWEEP_BOARDS:
         cells = canonical_cells(m, n)
@@ -898,7 +876,7 @@ def test_tight_walks_run_no_more_orbit_tests_than_they_settle(monkeypatch):
             yield pollution
 
     monkeypatch.setattr(search, "_pollutions", counted_walk)
-    for (m, n), before, listed in [((6, 4), 347, 170), ((7, 4), 608, 285)]:
+    for (m, n), before, listed in [((6, 4), 347, 166), ((7, 4), 608, 280)]:
         tested.clear()
         walked.clear()
         for k in range(m * n + 1):
@@ -928,7 +906,7 @@ def test_sweep_closure_counts_are_frozen(oracle, args, closures):
     # each sweep's exact closure count: the walk lists mkmax_exact's pollutions
     # in combinations order, and the symmetry rule cuts no closure here; the
     # mkmax_exact counts include the witnesses tried (359, 1,792 and 6,330
-    # closures without them), the mkmin_exact ones the compact residual
+    # closures without them), the mkmin_exact ones the first residual
     # (709 without it on (6, 4, 2) at r = 3, where it costs more than it saves)
     oracle(*args, budget=closures)
     with pytest.raises(BudgetExceededError) as exc:
