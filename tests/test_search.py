@@ -1,6 +1,7 @@
 from collections import Counter
 from functools import cache
 from itertools import combinations
+from math import isqrt
 import os
 from pathlib import Path
 import subprocess
@@ -669,24 +670,65 @@ def _naive_numbers(m, n, k, r):
     return naive_pollution_numbers(m, n, k, r)
 
 
-def test_extremal_masks_leave_a_least_perimeter_corner_that_their_seeds_percolate():
-    # every board of at most 400 cells, both orientations and one-wide ones
-    # included: the first residual of every mkmin_exact sweep
+def _corner_residuals():
+    """(m, n, k, shifts, polluted, seeds) on every board of at most 400 cells, k < mn.
+
+    Both orientations and one-wide boards included: the first residual of
+    every mkmin_exact sweep.
+    """
     for m in range(1, 401):
         for n in range(1, 400 // m + 1):
             spec = grid(m, n)
             shifts = Shifts.of(spec)
-            s = min(m, n)
             for k in range(m * n):
-                t = m * n - k
-                polluted, seeds = _extremal_masks(spec, k)
-                residual = shifts.full ^ polluted
-                assert polluted.bit_count() == k and polluted >> m * n == 0, (m, n, k)
-                assert residual >> (n - 1) * m & 1, (m, n, k)  # the bottom-left cell
-                least = min_perimeter(t) if t < s * s else min_perimeter_height_bounded(t, s)
-                assert shifts.perimeter(residual) == least, (m, n, k)
-                assert closure_mask(shifts, polluted, seeds, 2) == residual, (m, n, k)
-                assert seeds.bit_count() == shifts.seed_floor(residual, 2), (m, n, k)
+                yield m, n, k, shifts, *_extremal_masks(spec, k)
+
+
+def test_compact_residual_has_the_least_perimeter_on_its_board():
+    for m, n, k, shifts, polluted, _ in _corner_residuals():
+        t = m * n - k
+        s = min(m, n)
+        residual = shifts.full ^ polluted
+        assert polluted.bit_count() == k and polluted >> m * n == 0, (m, n, k)
+        assert residual >> (n - 1) * m & 1, (m, n, k)  # the bottom-left cell
+        least = min_perimeter(t) if t < s * s else min_perimeter_height_bounded(t, s)
+        assert shifts.perimeter(residual) == least, (m, n, k)
+
+
+def test_hook_seeds_percolate_the_compact_residual_at_its_floor():
+    for m, n, k, shifts, polluted, seeds in _corner_residuals():
+        residual = shifts.full ^ polluted
+        assert closure_mask(shifts, polluted, seeds, 2) == residual, (m, n, k)
+        assert seeds.bit_count() == shifts.seed_floor(residual, 2), (m, n, k)
+
+
+def _compact_residual_row_by_row(m, n, k):
+    """The pollution and hook seeds of the corner residual, one shift per row and one per seed."""
+    t = m * n - k
+    if k <= (m - n) * n:
+        ell, rest = divmod(k, n)
+        widths = [m - ell] * (n - rest) + [m - ell - 1] * rest
+    elif k <= (n - m) * m:
+        ell, rest = divmod(k, m)
+        widths = [m] * (n - ell - 1) + [m - rest]
+    else:
+        x = isqrt(t)
+        o = t - x * x
+        if o > x:
+            widths = [x + 1] * (o - x) + [x] * (2 * x - o) + [x]
+        else:
+            widths = [x] * x + [o] * (o > 0)
+    widths = [w for w in widths if w]
+    residual = sum(((1 << w) - 1) << (n - 1 - up) * m for up, w in enumerate(widths))
+    corner = (n - 1) * m
+    # the hook from the top of the first column down and then along the bottom row
+    hook = [*range(corner - (len(widths) - 1) * m, corner, m), *range(corner, corner + widths[0])]
+    return (1 << m * n) - 1 ^ residual, sum(map((1).__lshift__, hook[::2])) | 1 << hook[-1]
+
+
+def test_compact_residual_matches_the_row_by_row_construction():
+    for m, n, k, _, polluted, seeds in _corner_residuals():
+        assert (polluted, seeds) == _compact_residual_row_by_row(m, n, k), (m, n, k)
 
 
 def _whole(spec, k):
