@@ -11,7 +11,10 @@ is a fixed number of O(mn / word size) big-int operations, so a closure
 costs O(rounds * mn / word size), at most O(mn^2 / word size).
 
 Every closure runs through :func:`closure_mask`, which :func:`percolate` and
-:func:`is_percolating` call once they have checked their inputs.
+:func:`is_percolating` call once they have checked their inputs.  It chooses
+its round step once per call: at r = 2 and r = 3 one loop computes the four
+shifted masks and the count inline, for a grid or for a torus; any other r
+calls :meth:`Shifts.at_least`, the one-shot form, once per round.
 """
 
 from __future__ import annotations
@@ -54,13 +57,39 @@ def closure_mask(
 ) -> int:
     """The closure of ``seed_mask`` on raw bitmasks, ``blocked`` marking polluted cells.
 
-    No validation: tight search loops call it directly.  Each round's newly
-    infected mask is appended to ``rounds`` if given.
+    No validation: tight search loops call it directly, and ``blocked`` and
+    ``seed_mask`` must lie on the board.  The round step is the inline one
+    for r = 2 and r = 3 on either topology, else ``shifts.at_least``.  Each
+    round's newly infected mask is appended to ``rounds`` if given.
     """
+    m, size, full, first, last, not_first, not_last, wrap = shifts
     infected = seed_mask
-    healthy = shifts.full & ~(blocked | seed_mask)
+    healthy = full ^ (blocked | seed_mask)
+    if r != 2 and r != 3:
+        while new := shifts.at_least(infected, r) & healthy:
+            infected |= new
+            healthy ^= new
+            if rounds is not None:
+                rounds.append(new)
+        return infected
+    turn, back = m - 1, size - m
     while True:
-        new = shifts.at_least(infected, r) & healthy
+        if wrap:
+            # the board twice over: one shift of it turns the board a row up or down
+            both = infected | infected << size
+            a = (infected & not_last) << 1 | (infected & last) >> turn
+            b = (infected & not_first) >> 1 | (infected & first) << turn
+            c = both >> back
+            d = both >> m
+        else:
+            a = (infected & not_last) << 1
+            b = (infected & not_first) >> 1
+            c = infected << m
+            d = infected >> m
+        if r == 2:
+            new = (a & b | c & d | (a | b) & (c | d)) & healthy
+        else:
+            new = (a & b & (c | d) | c & d & (a | b)) & healthy
         if not new:
             return infected
         infected |= new

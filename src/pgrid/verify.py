@@ -45,9 +45,9 @@ _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 _TRACE_M, _TRACE_N = 8, 5
 _TRACE_MAX_POLLUTION = 13
 # Largest sweeps accepted.  The construction rows grow about as the square of
-# the limit: 400 checks 189,796 rows, in 8-11 s at a peak RSS of 45 MiB with
+# the limit: 400 checks 189,796 rows, in 5-6 s at a peak RSS of 45 MiB with
 # --csv or --json on a 2-vCPU host, where 1,000 would check 1,401,085.  The
-# oracle rows reach the same boards: 400 and 400 check 379,592 rows in ~34 s.
+# oracle rows reach the same boards: 400 and 400 check 379,592 rows in ~12 s.
 # 10,000 trace samples take ~1 s and 22 MiB.
 _MAX_CONSTRUCTION_MN = 400
 _MAX_EXHAUSTIVE_MN = 400

@@ -1,3 +1,5 @@
+from itertools import product
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -14,6 +16,8 @@ from pgrid import (
     percolate,
     torus,
 )
+from pgrid.engine import closure_mask
+from pgrid.grid import Shifts
 
 SAMPLE_DOC = """pgrid v1
 m=8 n=5 topology=grid
@@ -143,6 +147,49 @@ def test_rounds_match_simultaneous_reference(case, r):
         r,
     )
     assert [_cells(cells) for cells in percolate(instance, seeds, r).rounds] == expected
+
+
+def _every_small_case():
+    """Every (pollution, seeds) assignment on each grid of at most 6 cells, 1-wide
+    boards included, then every seed set on the clean 3x3 and 4x3 tori and on
+    each with one hole at cell 0, a corner where both kinds of wrap meet."""
+    for m in range(1, 7):
+        for n in range(1, 6 // m + 1):
+            cells = oracles.canonical_cells(m, n)
+            for states in product("._o", repeat=m * n):
+                polluted = {c for c, s in zip(cells, states) if s == "_"}
+                seeds = {c for c, s in zip(cells, states) if s == "o"}
+                yield grid(m, n), cells, polluted, seeds
+    for m in (3, 4):
+        cells = oracles.canonical_cells(m, 3)
+        for hole in (set(), {cells[0]}):
+            free = [c for c in cells if c not in hole]
+            for bits in range(1 << len(free)):
+                yield torus(m, 3), cells, hole, {c for p, c in enumerate(free) if bits >> p & 1}
+
+
+def test_closure_matches_references_on_every_small_board():
+    # reaches both topologies at r = 2 and 3, the at_least fallback at r = 1, 4
+    # and 5, and boards where the row-end masks not_first and not_last are 0
+    for spec, cells, polluted, seeds in _every_small_case():
+        index = {c: p for p, c in enumerate(cells)}
+
+        def mask(group):
+            return sum(1 << index[c] for c in group)
+
+        shifts = Shifts.of(spec)
+        blocked, seed_mask = mask(polluted), mask(seeds)
+        instance = PollutedInstance(spec, CellSet(spec, blocked))
+        for r in range(1, 6):
+            reference = (spec.m, spec.n, spec.topology.value, polluted, seeds, r)
+            expected = [mask(step) for step in oracles.naive_rounds(*reference)]
+            logged = []
+            final = closure_mask(shifts, blocked, seed_mask, r, logged)
+            assert [seed_mask, *logged] == expected, (spec, polluted, seeds, r)
+            assert final == closure_mask(shifts, blocked, seed_mask, r)
+            assert final == mask(oracles.naive_closure(*reference)), (spec, polluted, seeds, r)
+            trace = percolate(instance, CellSet(spec, seed_mask), r)
+            assert [step.mask for step in trace.rounds] == expected
 
 
 @given(case=small_instances(), r=st.integers(1, 3), drop=st.data())
