@@ -10,6 +10,7 @@ draws a trace.  Exit codes: 0 success, 1 domain error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -50,10 +51,6 @@ _FORMULAS_3 = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _vertex_list(cells) -> list[list[int]]:
     return [[v.i, v.j] for v in cells]
 
@@ -72,13 +69,9 @@ def _read_board(path: str) -> tuple[PollutedInstance, CellSet]:
 
 
 def _cmd_formula(args: argparse.Namespace) -> int:
-    if args.name in _FORMULAS_2:
-        if args.k is not None:
-            raise _UsageError(f"formula {args.name!r} does not take -k")
+    if args.k is None:
         value = _FORMULAS_2[args.name](args.m, args.n)
     else:
-        if args.k is None:
-            raise _UsageError(f"formula {args.name!r} requires -k")
         value = _FORMULAS_3[args.name](args.m, args.n, args.k)
     if args.json:
         print(json.dumps(
@@ -163,18 +156,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_suite(args: argparse.Namespace) -> SuiteReport:
-    if args.suite == "theorem1":
-        return verify_theorem1(args.max_exhaustive, args.max_construction)
-    if args.suite == "monotonicity":
-        return verify_monotonicity(12 if args.max_mn is None else args.max_mn)
-    if args.suite == "perimeter":
-        return verify_perimeter(args.max_t, args.trace_samples, args.seed)
-    return verify_torus_and_max(16 if args.max_mn is None else args.max_mn)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = _run_suite(args)
+    report: SuiteReport = args.run_suite(args)
     style = "json" if args.json else "csv"
     if args.output:
         with open(args.output, "w") as out:
@@ -210,13 +193,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("formula", help="evaluate a closed-form value")
-    p.add_argument("name", choices=sorted(_FORMULAS_2 | _FORMULAS_3))
-    p.add_argument("-m", type=int, required=True, help="number of columns")
-    p.add_argument("-n", type=int, required=True, help="number of rows")
-    p.add_argument("-k", type=int, help="number of polluted vertices")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_formula)
+    names = sub.add_parser("formula", help="evaluate a closed-form value").add_subparsers(
+        dest="name", required=True)
+    for name in sorted(_FORMULAS_2 | _FORMULAS_3):
+        p = names.add_parser(name)
+        p.add_argument("-m", type=int, required=True, help="number of columns")
+        p.add_argument("-n", type=int, required=True, help="number of rows")
+        if name in _FORMULAS_3:
+            p.add_argument("-k", type=int, required=True, help="number of polluted vertices")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_formula, k=None)
 
     p = sub.add_parser("construct", help="build an extremal witness board")
     p.add_argument("-m", type=int, required=True)
@@ -241,19 +227,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("verify", help="run a certification suite")
-    p.add_argument("suite", choices=("theorem1", "monotonicity", "perimeter", "torus-max"))
-    p.add_argument("--max-exhaustive", type=int, default=12)
-    p.add_argument("--max-construction", type=int, default=400)
-    p.add_argument("--max-mn", type=int, default=None)
-    p.add_argument("--max-t", type=int, default=8)
-    p.add_argument("--trace-samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    group = p.add_mutually_exclusive_group()
+    report = argparse.ArgumentParser(add_help=False)
+    group = report.add_mutually_exclusive_group()
     group.add_argument("--csv", action="store_true")
     group.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output", help="write the CSV/JSON report here")
-    p.set_defaults(func=_cmd_verify)
+    report.add_argument("-o", "--output", help="write the CSV/JSON report here")
+    suites = sub.add_parser("verify", help="run a certification suite").add_subparsers(
+        dest="suite", required=True)
+    # each suite reads only its own limits; its verify_* is looked up when it runs
+    for suite, run_suite, limits in (
+        ("theorem1", lambda a: verify_theorem1(a.max_exhaustive, a.max_construction), (
+            ("--max-exhaustive", 12, "largest mn checked against the exact oracle"),
+            ("--max-construction", 400, "largest mn of the checked constructions"))),
+        ("monotonicity", lambda a: verify_monotonicity(a.max_mn), (
+            ("--max-mn", 12, "largest mn of the checked grids"),)),
+        ("perimeter", lambda a: verify_perimeter(a.max_t, a.trace_samples, a.seed), (
+            ("--max-t", 8, "largest t checked against polyomino enumeration"),
+            ("--trace-samples", 100, "number of random traces checked"),
+            ("--seed", 0, "seed of the random traces"))),
+        ("torus-max", lambda a: verify_torus_and_max(a.max_mn), (
+            ("--max-mn", 16, "largest mn of the checked tori and grids"),)),
+    ):
+        p = suites.add_parser(suite, parents=[report])
+        for flag, default, text in limits:
+            p.add_argument(flag, type=int, default=default, help=f"{text} (default {default})")
+        p.set_defaults(func=_cmd_verify, run_suite=run_suite)
 
     p = sub.add_parser("render", help="draw the trace of a board file")
     p.add_argument("file")
@@ -265,17 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except (PgridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

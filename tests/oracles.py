@@ -202,3 +202,13 @@ def naive_fixed_polyominoes(t: int) -> set[frozenset[tuple[int, int]]]:
                         grown.add(frozenset((a - min_x, b - min_y) for a, b in cells))
         shapes = grown
     return shapes
+
+
+def naive_box_perimeter(m: int, n: int, t: int) -> int:
+    """Sides shown by the best t-cell box of at most n rows and m columns.
+
+    Twice the least h + w with h <= n, w <= m and hw >= t; no t cells of an
+    m x n grid show fewer, as their bounding box shows no more sides than
+    they do.  Each height h is tried with its narrowest width ceil(t / h).
+    """
+    return 2 * min(h + -(-t // h) for h in range(1, n + 1) if -(-t // h) <= m)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -42,10 +43,14 @@ def test_formula_mkmin_value_and_json(capsys):
 
 def test_formula_usage_errors(capsys):
     assert cli.run(["formula", "grid", "-m", "8", "-n", "5", "-k", "1"]) == 2
-    assert "usage error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: -k 1" in captured.err
     assert cli.run(["formula", "mkmin", "-m", "8", "-n", "5"]) == 2
-    assert "requires -k" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and "the following arguments are required: -k" in captured.err
     assert cli.run(["formula", "nope", "-m", "8", "-n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'nope'" in captured.err
 
 
 def test_formula_domain_error(capsys):
@@ -294,8 +299,8 @@ class _CountingStream:
 @pytest.mark.parametrize("flag,style", [("--csv", "to_csv"), ("--json", "to_json")])
 def test_verify_reports_stream_row_by_row(flag, style, tmp_path, monkeypatch, capsys):
     reports = []
-    run_suite = cli._run_suite
-    monkeypatch.setattr(cli, "_run_suite", lambda args: reports.append(run_suite(args)) or reports[-1])
+    suite = cli.verify_monotonicity
+    monkeypatch.setattr(cli, "verify_monotonicity", lambda *a: reports.append(suite(*a)) or reports[-1])
     argv = ["verify", "monotonicity", "--max-mn", "6", flag]
     stdout = _CountingStream(io.StringIO())
     with monkeypatch.context() as mp:
@@ -340,6 +345,85 @@ def test_verify_failure_exits_three(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "1 failed" in out
     assert "FAIL perimeter.formula" in out
+
+
+_LIMITS = {
+    "theorem1": {"max_exhaustive": 12, "max_construction": 400},
+    "monotonicity": {"max_mn": 12},
+    "perimeter": {"max_t": 8, "trace_samples": 100, "seed": 0},
+    "torus-max": {"max_mn": 16},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_LIMITS))
+def test_each_suite_takes_only_its_own_limits(suite, monkeypatch, capsys):
+    args = vars(cli._parser().parse_args(["verify", suite]))
+    shared = {"subcommand", "suite", "func", "run_suite", "csv", "json", "output"}
+    limits = {key: args[key] for key in args.keys() - shared}
+    assert limits == _LIMITS[suite]
+    # a suite that took another's limit would fail here instead of running
+    for name in ("verify_theorem1", "verify_monotonicity", "verify_perimeter", "verify_torus_and_max"):
+        monkeypatch.setattr(cli, name, None)
+    others = {key for other in _LIMITS.values() for key in other} - _LIMITS[suite].keys()
+    for key in sorted(others):
+        flag = "--" + key.replace("_", "-")
+        assert cli.run(["verify", suite, flag, "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unrecognized arguments: {flag} 16" in captured.err
+
+
+_ELAPSED = re.compile(r'("elapsed_ms": )[0-9.e+-]+|,[0-9.]+$', re.MULTILINE)
+# the two theorem-1 sweeps up to 400 cells take 5-11 s each; here the library
+# gives the CLI a report at the benchmark's limits, and CI runs them whole
+_SMALLER = {(400, 400): (16, 16), (12, 400): (12, 60)}
+
+
+@pytest.mark.parametrize(
+    "argv, name, call",
+    [
+        # bench/workloads.py, at seed 7
+        ("perimeter --csv --seed 7", "verify_perimeter", (8, 100, 7)),
+        ("theorem1 --max-exhaustive 12 --max-construction 60 --json", "verify_theorem1", (12, 60)),
+        ("theorem1 --max-exhaustive 16 --max-construction 16 --csv", "verify_theorem1", (16, 16)),
+        ("torus-max", "verify_torus_and_max", (16,)),
+        ("monotonicity", "verify_monotonicity", (12,)),
+        # .github/workflows/tests.yml
+        ("theorem1 --max-exhaustive 400 --max-construction 400 --csv", "verify_theorem1", (400, 400)),
+        ("theorem1 --csv", "verify_theorem1", (12, 400)),
+        ("theorem1 --json", "verify_theorem1", (12, 400)),
+        ("torus-max --csv", "verify_torus_and_max", (16,)),
+        ("monotonicity --max-mn 16 --csv", "verify_monotonicity", (16,)),
+        ("perimeter --csv", "verify_perimeter", (8, 100, 0)),
+        # README.md
+        ("perimeter", "verify_perimeter", (8, 100, 0)),
+        ("theorem1 --max-exhaustive 150 --max-construction 100", "verify_theorem1", (150, 100)),
+    ],
+)
+def test_verify_argv_in_use_matches_the_library_call(argv, name, call, monkeypatch, capsys):
+    library = getattr(cli, name)
+    calls = []
+    monkeypatch.setattr(cli, name, lambda *a: calls.append(a) or library(*_SMALLER.get(a, a)))
+    code = cli.run(["verify", *argv.split()])
+    out = capsys.readouterr().out
+    assert calls == [call]
+    report = library(*_SMALLER.get(call, call))
+    if "--csv" in argv:
+        expected = report.to_csv()
+    elif "--json" in argv:
+        expected = report.to_json()
+    else:
+        expected = report.summary_line() + "\n"
+    assert (code, _ELAPSED.sub(r"\1", out)) == (0 if report.passed else 3, _ELAPSED.sub(r"\1", expected))
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
+    cli._parser.cache_clear()
+    for argv in (["formula", "grid", "-m", "8", "-n", "5"], ["verify", "torus-max"], []):
+        cli.run(argv)
+    assert len(built) == 1 and cli._parser() is built[0]
 
 
 def test_verify_bad_limit_is_domain_error(capsys):

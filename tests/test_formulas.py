@@ -18,6 +18,8 @@ from pgrid import (
     percolation_number_torus,
 )
 
+from oracles import naive_box_perimeter
+
 
 @st.composite
 def grid_shapes(draw, max_side=30):
@@ -113,6 +115,17 @@ def test_int_forms_match_the_values_rebuilt_with_isqrt():
                 assert mkmin(m, n, k) == (small if k < pivot else large)
                 if 0 < k < m * n:
                     assert mkmin_lower_bound(m, n, k) == (small if t > n * n else large)
+
+
+def test_mkmin_is_a_quarter_of_the_best_box_perimeter():
+    # theorem 1 at its lower leg: ceil(P / 4) seeds, where no t-cell residual
+    # shows fewer than the P sides of the oracle's best box
+    rows = [(m, n, t) for n in range(2, 21) for m in range(n, 400 // n + 1) for t in range(1, m * n + 1)]
+    assert len(rows) == 188_952
+    wrong = [
+        (m, n, t) for m, n, t in rows if -(-naive_box_perimeter(m, n, t) // 4) != mkmin(m, n, m * n - t)
+    ]
+    assert wrong == []
 
 
 def test_mkmin_remark_form_examples():

@@ -38,6 +38,7 @@ from pgrid.search import _fixed_polyominoes, _orbit_least, _pollutions
 from oracles import (
     canonical_cells,
     naive_adjacent,
+    naive_box_perimeter,
     naive_exposed_sides,
     naive_fixed_polyominoes,
     naive_min_percolating,
@@ -594,6 +595,39 @@ def test_pollutions_match_naive_perimeter():
                 assert [amask for amask, _ in got] == [sum(1 << p for p in c) for c in expected]
                 for amask, residual in got:
                     assert residual == (1 << m * n) - 1 - amask
+
+
+def _box_walks(max_mn: int):
+    """(m, n, t, shifts, P) for every t >= 1 on every board of at most max_mn cells.
+
+    Both orientations and one-wide boards are included; P is the least
+    perimeter of t cells on the m x n grid, from the oracle's best box.
+    """
+    for m in range(1, max_mn + 1):
+        for n in range(1, max_mn // m + 1):
+            shifts = Shifts.of(grid(m, n))
+            for t in range(1, m * n + 1):
+                yield m, n, t, shifts, naive_box_perimeter(m, n, t)
+
+
+def test_no_residual_has_fewer_sides_than_the_best_box():
+    # the lower leg of theorem 1: the walk finds no t-cell residual below P
+    walks = list(_box_walks(100))
+    assert len(walks) == 26_879
+    below = [
+        (m, n, t) for m, n, t, shifts, p in walks if next(_pollutions(shifts, m * n - t, [p - 1]), None)
+    ]
+    assert below == []
+
+
+def test_some_residual_has_the_sides_of_the_best_box():
+    # short rows only: on long rows the walk is slow to reach its first pollution
+    walks = [walk for walk in _box_walks(100) if walk[0] <= walk[1]]
+    assert len(walks) == 13_632
+    missing = [
+        (m, n, t) for m, n, t, shifts, p in walks if not next(_pollutions(shifts, m * n - t, [p]), None)
+    ]
+    assert missing == []
 
 
 @pytest.mark.parametrize(
