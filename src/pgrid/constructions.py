@@ -6,7 +6,8 @@ the seeds alternate along the first column and first row of what is left;
 after that the residual is kept as close to a square as possible and seeded
 the same way.  One builder, ``_extremal_masks``, makes both masks of every k
 by index arithmetic, with no coordinate lists, on boards of either
-orientation, and ``mkmin_exact`` starts its sweeps from it.  For the
+orientation: the wide one here, and the tall one that ``mkmin_exact``
+walks and starts its sweeps from.  For the
 worst-pollution lower bound the polluted set is an independent set of
 interior degree-4 vertices.  One check, ``_checked_masks``, counts a
 witness's cells and closes it once; every witness returned here passes it,

@@ -376,13 +376,19 @@ def min_percolating_exact(
     return SearchResult(size, CellSet(spec, witness_mask), bud.used, **bud.work())
 
 
-def _sweep_setup(m: int, n: int, k: int, r: int):
+def _sweep_setup(m: int, n: int, k: int, r: int, budget: int | None):
+    """The board a sweep walks, its :class:`Shifts`, its :class:`_Budget` and t = mn - k.
+
+    Transposing the board keeps every m(G - A, r), so m x n and n x m both
+    walk the one board whose rows hold min(m, n) cells: the walk decides
+    cells row by row, and on short rows its perimeter bound cuts sooner.
+    """
     if r < 1:
         raise ParameterError(f"infection threshold must be >= 1, got {r}")
-    spec = grid(m, n)
+    spec = grid(min(m, n), max(m, n))
     if not 0 <= k <= spec.size:
         raise ParameterError(f"need 0 <= k <= {spec.size}, got k={k}")
-    return spec, Shifts.of(spec)
+    return spec, Shifts.of(spec), _Budget(budget, spec.size), spec.size - k
 
 
 def _pollutions(shifts: Shifts, k: int, limit: list[int]):
@@ -518,9 +524,7 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int | None = None) -
     the first residual's included; None allows
     floor(DEFAULT_NODE_BUDGET / ceil(mn / 64)).
     """
-    spec, shifts = _sweep_setup(m, n, k, r)
-    bud = _Budget(budget, spec.size)
-    t = spec.size - k
+    spec, shifts, bud, t = _sweep_setup(m, n, k, r, budget)
     if t == 0:
         return 0
     reach = 2 * r
@@ -576,9 +580,7 @@ def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int | None = None) -
     closures of the searches made and of the witnesses tried, and None
     allows floor(DEFAULT_NODE_BUDGET / ceil(mn / 64)).
     """
-    spec, shifts = _sweep_setup(m, n, k, r)
-    bud = _Budget(budget, spec.size)
-    t = spec.size - k
+    spec, shifts, bud, t = _sweep_setup(m, n, k, r, budget)
     if t == 0:
         return 0
     best: int | None = None

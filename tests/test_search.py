@@ -896,8 +896,9 @@ def test_mkmin_exact_needs_no_walk_where_the_compact_residual_meets_the_floor(mo
 
 
 def test_sweeps_that_list_nothing_build_no_symmetry_tables(monkeypatch):
-    # verify runs the 25x16 and 48x8 rows transposed; at r = 2 the walk starts
-    # on 29 and 269 of them and lists nothing, so no orbit test is made
+    # the sweeps walk the 25x16 and 48x8 boards as their transposes; at r = 2
+    # the walk starts on 29 and 269 of them and lists nothing, so no orbit
+    # test is made
     walks = []
 
     def counted_walk(*args):
@@ -909,7 +910,7 @@ def test_sweeps_that_list_nothing_build_no_symmetry_tables(monkeypatch):
     monkeypatch.setattr(search, "_symmetries", _refuse)
     monkeypatch.setattr(search, "_pollutions", counted_walk)
     for m, n in [(25, 16), (48, 8)]:
-        assert [mkmin_exact(n, m, k) for k in range(m * n + 1)] == [
+        assert [mkmin_exact(m, n, k) for k in range(m * n + 1)] == [
             mkmin(m, n, k) for k in range(m * n + 1)
         ]
     assert len(walks) == 29 + 269 and not any(walks)
@@ -939,10 +940,10 @@ def test_unbounded_walk_cuts_by_prefix(m, n, k, tests, listed, monkeypatch):
 
 
 def test_tight_walks_run_no_more_orbit_tests_than_they_settle(monkeypatch):
-    # the r = 3 sweeps of 6x4 and 7x4 over every k walk under tight limits,
-    # where testing each prefix would cost more tests than it saves: they
-    # settle 347 and 608 pollutions within their limits, so testing each of
-    # those whole is the most the walk may spend
+    # the r = 3 sweeps of 6x4 and 7x4 over every k, walked as 4x6 and 4x7,
+    # run under tight limits, where testing each prefix would cost more tests
+    # than it saves: they settle 303 and 464 pollutions within their limits,
+    # so testing each of those whole is the most the walk may spend
     tested = _count_orbit_tests(monkeypatch)
     walked = []
 
@@ -952,7 +953,7 @@ def test_tight_walks_run_no_more_orbit_tests_than_they_settle(monkeypatch):
             yield pollution
 
     monkeypatch.setattr(search, "_pollutions", counted_walk)
-    for (m, n), before, listed in [((6, 4), 347, 166), ((7, 4), 608, 280)]:
+    for (m, n), before, listed in [((6, 4), 303, 130), ((7, 4), 464, 185)]:
         tested.clear()
         walked.clear()
         for k in range(m * n + 1):
@@ -973,17 +974,18 @@ def test_mkmax_exact_witness_cache_keeps_the_naive_maximum():
     [
         (mkmax_exact, (4, 4, 2), 258),
         (mkmax_exact, (5, 5, 2), 1_340),
-        (mkmax_exact, (6, 5, 2), 3_970),
-        (mkmin_exact, (6, 4, 0, 3), 1_099),
-        (mkmin_exact, (6, 4, 2, 3), 831),
+        (mkmax_exact, (6, 5, 2), 3_899),
+        (mkmin_exact, (6, 4, 0, 3), 793),
+        (mkmin_exact, (6, 4, 2, 3), 558),
     ],
 )
 def test_sweep_closure_counts_are_frozen(oracle, args, closures):
     # each sweep's exact closure count: the walk lists mkmax_exact's pollutions
     # in combinations order, and the symmetry rule cuts no closure here; the
-    # mkmax_exact counts include the witnesses tried (359, 1,792 and 6,330
-    # closures without them), the mkmin_exact ones the first residual
-    # (709 without it on (6, 4, 2) at r = 3, where it costs more than it saves)
+    # wide boards are walked as their 5x6 and 4x6 transposes; the mkmax_exact
+    # counts include the witnesses tried (359, 1,792 and 4,982 closures
+    # without them), the mkmin_exact ones the first residual (754 without it
+    # on (6, 4, 2) at r = 3)
     oracle(*args, budget=closures)
     with pytest.raises(BudgetExceededError) as exc:
         oracle(*args, budget=closures - 1)
@@ -1009,6 +1011,29 @@ def test_mkmin_exact_budget_errors_are_frozen(m, n):
         # the hook seeds cost one closure and the walk lists no pollution, so
         # every k returns its value under all four budgets
         assert outcomes == [value] * 4, (m, n, k)
+
+
+def _sweep_outcome(oracle, m, n, k, r, budget):
+    """The value of one sweep, or the (nodes, lower_bound, upper_bound) it ran out of budget at."""
+    try:
+        return oracle(m, n, k, r, budget)
+    except BudgetExceededError as exc:
+        return exc.nodes, exc.lower_bound, exc.upper_bound
+
+
+def test_sweeps_do_the_same_work_on_a_board_and_its_transpose():
+    # the sweeps choose the orientation they walk, so no caller's choice can
+    # change a value, a budget error or the work done to reach either
+    for oracle, max_mn, max_k in [(mkmin_exact, 24, 24), (mkmax_exact, 16, 3)]:
+        for m in range(1, max_mn + 1):
+            for n in range(m + 1, max_mn // m + 1):
+                for k in range(min(m * n, max_k) + 1):
+                    for r in (2, 3):
+                        for budget in (1, 10, 100, None):
+                            case = (oracle.__name__, m, n, k, r, budget)
+                            assert _sweep_outcome(oracle, m, n, k, r, budget) == _sweep_outcome(
+                                oracle, n, m, k, r, budget
+                            ), case
 
 
 def test_fixed_polyomino_counts():

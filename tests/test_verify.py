@@ -11,11 +11,9 @@ import pgrid.verify as verify_module
 from pgrid import (
     CSV_COLUMNS,
     BudgetExceededError,
-    CellSet,
     CheckRow,
     InternalConsistencyError,
     ParameterError,
-    PercolationTrace,
     SuiteReport,
     construct_extremal,
     grid,
@@ -201,14 +199,12 @@ def test_a_lower_bound_off_by_one_fails_its_row(monkeypatch, capsys):
 
 
 def test_a_trace_whose_perimeter_rises_fails_its_row(monkeypatch, capsys):
-    spec = grid(8, 5)
-
-    def rising(instance, seeds, r):
+    def rising(shifts, blocked, seeds, r, rounds):
         # one cell (perimeter 4), then a second cell far from it (perimeter 8)
-        rounds = (CellSet(spec, 1), CellSet(spec, 1 << 20))
-        return PercolationTrace(instance, rounds, CellSet(spec, 1 | 1 << 20), False, 1)
+        rounds[:] = [1, 1 << 20]
+        return 1 | 1 << 20
 
-    monkeypatch.setattr(verify_module, "percolate", rising)
+    monkeypatch.setattr(verify_module, "closure_mask", rising)
     traces = [row for row in verify_perimeter(1, 2).rows if row.suite == "perimeter.trace"]
     assert [(row.k, row.actual, row.passed) for row in traces] == [
         (0, "perimeter rose 4 -> 8", False),
@@ -275,7 +271,8 @@ def test_perimeter_suite_structure_and_reproducibility():
     assert identity[0].k == 10**6 and identity[0].actual == 0
     traces = [r for r in first.rows if r.suite == "perimeter.trace"]
     assert all(r.expected == "non-increasing" for r in traces)
-    assert all("|seeds|=" in r.note for r in traces)
+    # the draws of seed 7, pinned
+    assert [r.note for r in traces] == ["|polluted|=5 |seeds|=6", "|polluted|=6 |seeds|=3"]
 
 
 def _identity_row(report):
