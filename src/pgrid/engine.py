@@ -11,10 +11,10 @@ is a fixed number of O(mn / word size) big-int operations, so a closure
 costs O(rounds * mn / word size), at most O(mn^2 / word size).
 
 Every closure runs through :func:`closure_mask`, which :func:`percolate` and
-:func:`is_percolating` call once they have checked their inputs.  It chooses
-its round step once per call: at r = 2 and r = 3 one loop computes the four
-shifted masks and the count inline, for a grid or for a torus; any other r
-calls :meth:`Shifts.at_least`, the one-shot form, once per round.
+:func:`is_percolating` call once they have checked their inputs.  One loop
+computes the four shifted masks and the count inline, for a grid or for a
+torus, and every r from 1 to 4; no cell has five neighbors, so at r >= 5 the
+seeds are their own closure.
 """
 
 from __future__ import annotations
@@ -58,20 +58,14 @@ def closure_mask(
     """The closure of ``seed_mask`` on raw bitmasks, ``blocked`` marking polluted cells.
 
     No validation: tight search loops call it directly, and ``blocked`` and
-    ``seed_mask`` must lie on the board.  The round step is the inline one
-    for r = 2 and r = 3 on either topology, else ``shifts.at_least``.  Each
-    round's newly infected mask is appended to ``rounds`` if given.
+    ``seed_mask`` must lie on the board.  Each round's newly infected mask is
+    appended to ``rounds`` if given.
     """
     m, size, full, first, last, not_first, not_last, wrap = shifts
     infected = seed_mask
-    healthy = full ^ (blocked | seed_mask)
-    if r != 2 and r != 3:
-        while new := shifts.at_least(infected, r) & healthy:
-            infected |= new
-            healthy ^= new
-            if rounds is not None:
-                rounds.append(new)
+    if r > 4:
         return infected
+    healthy = full ^ (blocked | seed_mask)
     turn, back = m - 1, size - m
     while True:
         if wrap:
@@ -88,8 +82,12 @@ def closure_mask(
             d = infected >> m
         if r == 2:
             new = (a & b | c & d | (a | b) & (c | d)) & healthy
-        else:
+        elif r == 3:
             new = (a & b & (c | d) | c & d & (a | b)) & healthy
+        elif r == 1:
+            new = (a | b | c | d) & healthy
+        else:
+            new = a & b & c & d & healthy
         if not new:
             return infected
         infected |= new

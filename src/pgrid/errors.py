@@ -47,9 +47,9 @@ class BudgetExceededError(PgridError):
     """An exhaustive search ran out of its closure-evaluation budget.
 
     ``lower_bound`` and ``upper_bound`` bracket the answer that was being
-    computed at the moment the budget ran out.  A single-instance search also
-    reports its work as ``SearchResult`` does, with the level it stopped in
-    last in ``level_nodes``; the pollution sweeps leave these at 0 and ().
+    computed at the moment the budget ran out.  The work counts are those of
+    ``SearchResult``, with the level the latest search stopped in last in
+    ``level_nodes``; a pollution sweep's prune counts add up over its searches.
     """
 
     def __init__(

@@ -57,10 +57,10 @@ least minimum-size set, and results are identical run to run.
 The search keeps its path on an explicit stack, so deep levels (a 1 x 2000
 path needs 1,001 seeds) never meet the recursion limit.  All oracles share
 one node budget, counted in closure evaluations, prune tests included;
-exceeding it raises an error carrying the bounds proven so far, never a
-silent approximation.  A closure costs O(rounds * ceil(mn / 64)) word
-operations, so with no budget given an oracle allows
-floor(DEFAULT_NODE_BUDGET / ceil(mn / 64)) closures on an m x n board:
+exceeding it raises an error carrying the bounds proven so far and the work
+counts, never a silent approximation.  A closure costs
+O(rounds * ceil(mn / 64)) word operations, so with no budget given an oracle
+allows floor(DEFAULT_NODE_BUDGET / ceil(mn / 64)) closures on an m x n board:
 10^8 on boards of at most 64 cells, 6,103 on the largest, 2^20 cells.
 
 The pollution sweeps behind ``mkmin_exact`` and ``mkmax_exact`` search one
@@ -169,7 +169,8 @@ class _Budget:
     A ``limit`` of None allows floor(DEFAULT_NODE_BUDGET / ceil(cells / 64))
     closures, for a board of ``cells`` cells.  ``start_bound``, ``forced``
     and ``level_nodes`` describe the latest search, the level it ran out of
-    budget in included; the prune counts add up over all of them.
+    budget in, ``start_bound + len(level_nodes) - 1``, included; the prune
+    counts add up over all of them.
     """
 
     #: the work counts that SearchResult and BudgetExceededError both carry
@@ -177,7 +178,7 @@ class _Budget:
         "start_bound", "forced", "level_nodes", "suffix_prunes", "perimeter_prunes",
         "symmetry_prunes",
     )
-    __slots__ = ("limit", "used", "level") + WORK
+    __slots__ = ("limit", "used") + WORK
 
     def __init__(self, limit: int | None, cells: int = 1):
         if limit is None:
@@ -186,7 +187,6 @@ class _Budget:
             raise ParameterError(f"node budget must be >= 1, got {limit}")
         self.limit = limit
         self.used = 0
-        self.level = 0
         self.start_bound = 0
         self.forced = 0
         self.level_nodes: tuple[int, ...] = ()
@@ -202,6 +202,16 @@ class _Budget:
     def work(self) -> dict[str, object]:
         """The :attr:`WORK` counts by name."""
         return {name: getattr(self, name) for name in self.WORK}
+
+    def exhausted(self, lower: int, upper: int, where: str = "") -> BudgetExceededError:
+        """The error for a call that ran out of budget with its answer in [lower, upper]."""
+        return BudgetExceededError(
+            f"budget of {self.limit} closure evaluations exhausted{where}",
+            nodes=self.used,
+            lower_bound=lower,
+            upper_bound=upper,
+            **self.work(),
+        )
 
 
 #: the cells a search node may add, as a mask, and the maps that fix the cells
@@ -277,7 +287,6 @@ def _min_search(
 
     group = _torus_group(shifts.m, shifts.size // shifts.m) if shifts.wrap and not blocked else None
     for s in range(lo, hi + 1):
-        bud.level = s
         used = bud.used
         need = s - n_forced
         try:
@@ -365,13 +374,8 @@ def min_percolating_exact(
             Shifts.of(spec), instance.polluted.mask, residual, r, None, bud
         )
     except _OutOfBudget:
-        raise BudgetExceededError(
-            f"budget of {bud.limit} closure evaluations exhausted at seed size {bud.level}",
-            nodes=bud.used,
-            lower_bound=bud.level,
-            upper_bound=residual.bit_count(),
-            **bud.work(),
-        ) from None
+        level = bud.start_bound + len(bud.level_nodes) - 1
+        raise bud.exhausted(level, residual.bit_count(), f" at seed size {level}") from None
     assert size is not None and witness_mask is not None
     return SearchResult(size, CellSet(spec, witness_mask), bud.used, **bud.work())
 
@@ -560,12 +564,7 @@ def mkmin_exact(m: int, n: int, k: int, r: int = 2, budget: int | None = None) -
                     if best <= floor:
                         break
     except _OutOfBudget:
-        raise BudgetExceededError(
-            f"budget of {bud.limit} closure evaluations exhausted",
-            nodes=bud.used,
-            lower_bound=floor,
-            upper_bound=t if best is None else best,
-        ) from None
+        raise bud.exhausted(floor, t if best is None else best) from None
     return best
 
 
@@ -607,12 +606,7 @@ def mkmax_exact(m: int, n: int, k: int, r: int = 2, budget: int | None = None) -
                 if best == t:
                     break
     except _OutOfBudget:
-        raise BudgetExceededError(
-            f"budget of {bud.limit} closure evaluations exhausted",
-            nodes=bud.used,
-            lower_bound=0 if best is None else best,
-            upper_bound=t,
-        ) from None
+        raise bud.exhausted(0 if best is None else best, t) from None
     assert best is not None
     return best
 

@@ -169,8 +169,9 @@ def _every_small_case():
 
 
 def test_closure_matches_references_on_every_small_board():
-    # reaches both topologies at r = 2 and 3, the at_least fallback at r = 1, 4
-    # and 5, and boards where the row-end masks not_first and not_last are 0
+    # reaches both topologies at every inline step, r = 1 to 4, the early
+    # return at r = 5, and boards where the row-end masks not_first and
+    # not_last are 0
     for spec, cells, polluted, seeds in _every_small_case():
         index = {c: p for p, c in enumerate(cells)}
 

@@ -660,31 +660,40 @@ def test_sweep_oracles_validate_inputs():
         mkmin_exact(3, 3, 1, r=0)
 
 
-def _assert_sweep_error(exc, value, nodes, lower_bound, upper_bound):
+def _assert_sweep_error(exc, value, nodes, lower_bound, upper_bound, work):
+    """Pin a sweep's budget error: its closures, its bounds, which hold ``value``,
+    and ``work``, the counts of search._Budget.WORK in that order."""
     assert (exc.nodes, exc.lower_bound, exc.upper_bound) == (nodes, lower_bound, upper_bound)
     assert exc.lower_bound <= value <= exc.upper_bound
-    assert (exc.start_bound, exc.forced, exc.level_nodes) == (0, 0, ())
-    assert (exc.suffix_prunes, exc.perimeter_prunes, exc.symmetry_prunes) == (0, 0, 0)
+    assert tuple(getattr(exc, name) for name in search._Budget.WORK) == work
 
 
 def test_mkmin_exact_budget_error_carries_bounds(monkeypatch):
     # one closure checks the witness's seeds, which meet the floor of 3
     assert mkmin_exact(3, 3, 1, budget=1) == 3
     # at r = 3 the first residual's search gives 12 over the floor 11, and
-    # the walk runs out before it finds 11
+    # the walk runs out before it finds 11, in the first level of a search
     with pytest.raises(BudgetExceededError) as exc:
         mkmin_exact(5, 5, 3, 3, budget=100)
-    _assert_sweep_error(exc.value, 11, 101, 11, 12)
-    # ceil((min_perimeter(30) + 2 * 30) / 6) = 14; the r = 3 floor was 1
+    _assert_sweep_error(exc.value, 11, 101, 11, 12, (11, 6, (2,), 14, 32, 0))
+    # ceil((min_perimeter(30) + 2 * 30) / 6) = 14; the r = 3 floor was 1, and
+    # the first residual's search runs out at its start bound
     with pytest.raises(BudgetExceededError) as exc:
         mkmin_exact(6, 5, 0, 3, budget=1)
-    _assert_sweep_error(exc.value, mkmin_exact(6, 5, 0, 3), 2, 14, 30)
+    _assert_sweep_error(exc.value, mkmin_exact(6, 5, 0, 3), 2, 14, 30, (14, 4, (2,), 0, 0, 0))
     # at r = 2 with every residual cell a seed the best starts at t = 8, and
-    # the walk runs out before it finds 3
+    # the walk runs out before it finds 3; the seeds' closure is in no level
     monkeypatch.setattr(search, "_extremal_masks", _whole)
     with pytest.raises(BudgetExceededError) as exc:
         mkmin_exact(3, 3, 1, budget=10)
-    _assert_sweep_error(exc.value, 3, 11, 3, 8)
+    _assert_sweep_error(exc.value, 3, 11, 3, 8, (3, 0, (10,), 0, 1, 0))
+
+
+def test_mkmax_exact_budget_error_carries_bounds():
+    # the best so far is 5 when the latest search runs out at its start bound
+    with pytest.raises(BudgetExceededError) as exc:
+        mkmax_exact(4, 4, 2, budget=100)
+    _assert_sweep_error(exc.value, mkmax_exact(4, 4, 2), 101, 5, 14, (5, 2, (6,), 0, 21, 0))
 
 
 def test_mkmin_exact_r3_row_is_frozen():
@@ -986,10 +995,14 @@ def test_sweep_closure_counts_are_frozen(oracle, args, closures):
     # counts include the witnesses tried (359, 1,792 and 4,982 closures
     # without them), the mkmin_exact ones the first residual (754 without it
     # on (6, 4, 2) at r = 3)
-    oracle(*args, budget=closures)
+    value = oracle(*args, budget=closures)
     with pytest.raises(BudgetExceededError) as exc:
         oracle(*args, budget=closures - 1)
-    assert exc.value.nodes == closures
+    err = exc.value
+    assert err.nodes == closures
+    assert err.lower_bound <= value <= err.upper_bound
+    # the levels count the closures of the latest search alone
+    assert sum(err.level_nodes) <= err.nodes
 
 
 @pytest.mark.parametrize("m,n", [(8, 2), (5, 5), (1, 12)])
@@ -1006,8 +1019,7 @@ def test_mkmin_exact_budget_errors_are_frozen(m, n):
             except BudgetExceededError as exc:
                 outcomes.append((exc.nodes, exc.lower_bound, exc.upper_bound))
                 assert exc.lower_bound <= value <= exc.upper_bound, (m, n, k, budget)
-                assert (exc.start_bound, exc.forced, exc.level_nodes) == (0, 0, ())
-                assert (exc.suffix_prunes, exc.perimeter_prunes, exc.symmetry_prunes) == (0, 0, 0)
+                assert sum(exc.level_nodes) <= exc.nodes, (m, n, k, budget)
         # the hook seeds cost one closure and the walk lists no pollution, so
         # every k returns its value under all four budgets
         assert outcomes == [value] * 4, (m, n, k)
