@@ -233,6 +233,7 @@ def verify_theorem1(max_mn_exhaustive: int, max_mn_construction: int) -> SuiteRe
         for k in range(m * n + 1):
             t0 = time.perf_counter()
             expected = mkmin(m, n, k)
+            note = ""
             actual: object
             try:
                 actual = mkmin_exact(m, n, k, 2)
@@ -240,8 +241,13 @@ def verify_theorem1(max_mn_exhaustive: int, max_mn_construction: int) -> SuiteRe
             except BudgetExceededError as exc:
                 actual = f"budget exceeded: {exc}"
                 ok = False
+                # what the oracle proved before it stopped; the CSV shows only actual
+                note = (
+                    f"lower bound {exc.lower_bound}, upper bound {exc.upper_bound}, "
+                    f"nodes explored {exc.nodes}"
+                )
             rows.append(
-                CheckRow("theorem1.oracle-certified", m, n, k, expected, actual, ok, _ms(t0))
+                CheckRow("theorem1.oracle-certified", m, n, k, expected, actual, ok, _ms(t0), note)
             )
     limits = {
         "max_mn_exhaustive": max_mn_exhaustive,

@@ -1,10 +1,11 @@
 """Naive reference implementations used as an independent route in tests.
 
-Everything here is set-based with repeated full rescans: no bitmasks, no
-counters, no forced seeds, no pruning.  Slow, but simple enough to audit at
-a glance.  Only suitable for tiny boards.  Adjacency is decided from
-coordinate differences rather than neighbor lists so the two code paths
-share nothing.
+Everything here is set-based: no bitmasks, no forced seeds, no pruning.
+Most routines rescan the board in full and suit only tiny boards;
+:func:`naive_queue_closure` keeps a neighbour counter per cell and a queue,
+which closes boards of a few hundred cells quickly.  Simple enough to audit
+at a glance.  Adjacency is decided from coordinate differences rather than
+neighbor lists so the two code paths share nothing.
 """
 
 from __future__ import annotations
@@ -36,6 +37,28 @@ def naive_closure(m, n, topology, polluted, seeds, r):
                 infected.add(v)
                 progress = True
                 break
+    return infected
+
+
+def naive_queue_closure(m, n, polluted, seeds):
+    """2-neighbour closure on the m x n grid by counters and a queue.
+
+    Each healthy cell counts its infected neighbours and joins at 2; a cell
+    that joins goes on the queue, and is taken off it to count itself at
+    each of its four neighbours.  Every cell is queued at most once.
+    """
+    blocked = set(polluted)
+    infected = set(seeds)
+    counts = {}
+    queue = list(infected)
+    while queue:
+        i, j = queue.pop()
+        for v in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if 1 <= v[0] <= m and 1 <= v[1] <= n and v not in blocked and v not in infected:
+                counts[v] = counts.get(v, 0) + 1
+                if counts[v] == 2:
+                    infected.add(v)
+                    queue.append(v)
     return infected
 
 

@@ -1,4 +1,5 @@
 from math import isqrt
+import random
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,7 +19,13 @@ from pgrid import (
     percolation_number_torus,
 )
 
-from oracles import naive_box_perimeter
+from oracles import (
+    canonical_cells,
+    naive_box_perimeter,
+    naive_closure,
+    naive_extremal,
+    naive_queue_closure,
+)
 
 
 @st.composite
@@ -126,6 +133,33 @@ def test_mkmin_is_a_quarter_of_the_best_box_perimeter():
         (m, n, t) for m, n, t in rows if -(-naive_box_perimeter(m, n, t) // 4) != mkmin(m, n, m * n - t)
     ]
     assert wrong == []
+
+
+def test_queue_closure_matches_the_rescanning_closure():
+    rng = random.Random(7)
+    for m, n in [(1, 1), (2, 2), (3, 2), (2, 3), (4, 4), (6, 3), (5, 1)]:
+        cells = canonical_cells(m, n)
+        for _ in range(40):
+            polluted = set(rng.sample(cells, rng.randint(0, len(cells) // 3)))
+            healthy = [c for c in cells if c not in polluted]
+            seeds = set(rng.sample(healthy, rng.randint(0, len(healthy))))
+            expected = naive_closure(m, n, "grid", polluted, seeds, 2)
+            assert naive_queue_closure(m, n, polluted, seeds) == expected, (m, n, polluted, seeds)
+
+
+def test_mkmin_seeds_percolate_the_oracle_extremal_residual():
+    # theorem 1 at its upper leg: the oracle's witness has k polluted cells and
+    # mkmin seeds, and its seeds close over the rest of the board
+    rows = 0
+    for n in range(2, 11):
+        for m in range(n, 100 // n + 1):
+            cells = set(canonical_cells(m, n))
+            for k in range(m * n + 1):
+                polluted, seeds = naive_extremal(m, n, k)
+                assert (len(polluted), len(seeds)) == (k, mkmin(m, n, k)), (m, n, k)
+                assert naive_queue_closure(m, n, polluted, seeds) == cells - polluted, (m, n, k)
+                rows += 1
+    assert rows == 8728
 
 
 def test_mkmin_remark_form_examples():

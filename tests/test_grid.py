@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
@@ -167,6 +170,56 @@ def test_iteration_reaches_both_corners_of_the_largest_board():
     assert list(_set_bits(mask)) == [0, MAX_CELLS - 1]
     members = list(CellSet(spec, mask))
     assert [(type(v), v.i, v.j) for v in members] == [(Vertex, 1, 1024), (Vertex, 1024, 1)]
+
+
+def _small_boards():
+    """Every grid and torus of at most 36 cells, each as its shape and maker."""
+    for m in range(1, 37):
+        for n in range(1, 36 // m + 1):
+            yield m, n, grid
+            if m >= 3 and n >= 3:
+                yield m, n, torus
+
+
+def _assert_members(cells, expected):
+    members = list(cells)
+    assert [(v.i, v.j) for v in members] == expected
+    assert all(type(v) is Vertex for v in members)
+
+
+@pytest.mark.parametrize("percent", [0, 5, 25, 100])
+def test_both_iteration_paths_yield_the_canonical_vertices(percent):
+    # a set of under a quarter of a fresh board builds each Vertex; a denser one
+    # builds the board's table, which every later set of that spec reads
+    rng = random.Random(percent)
+    paths = set()
+    for m, n, make in _small_boards():
+        chosen = set(rng.sample(range(m * n), -(-m * n * percent // 100)))
+        mask = sum(1 << p for p in chosen)
+        expected = [c for p, c in enumerate(canonical_cells(m, n)) if p in chosen]
+        spec, twin = make(m, n), make(m, n)
+        dense = 4 * len(chosen) >= m * n
+        paths.add(dense)
+        _assert_members(CellSet(spec, mask), expected)
+        assert ("_cells" in vars(spec)) == dense
+        list(CellSet.full(spec))
+        assert "_cells" in vars(spec)
+        _assert_members(CellSet(spec, mask), expected)
+        # an equal spec has its own table, or none yet
+        _assert_members(CellSet(twin, mask), expected)
+        assert ("_cells" in vars(twin)) == dense
+    # one cell is a quarter of a board of at most four cells, so 5% takes both paths
+    assert paths == {0: {False}, 5: {False, True}, 25: {True}, 100: {True}}[percent]
+
+
+def test_the_vertex_table_leaves_the_spec_value_alone():
+    spec, twin = grid(5, 4), grid(5, 4)
+    before = (dataclasses.fields(GridSpec), hash(spec), repr(spec))
+    list(CellSet.full(spec))
+    assert "_cells" in vars(spec) and "_cells" not in vars(twin)
+    assert (dataclasses.fields(GridSpec), hash(spec), repr(spec)) == before
+    assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
+    assert spec != grid(4, 5) and spec != GridSpec(5, 4, Topology.TORUS)
 
 
 def test_cellset_operators():

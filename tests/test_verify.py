@@ -1,12 +1,14 @@
 import csv
 import io
 import json
+import re
 import time
 
 import pytest
 
 import pgrid.cli as cli
 import pgrid.constructions as constructions
+import pgrid.search as search
 import pgrid.verify as verify_module
 from pgrid import (
     CSV_COLUMNS,
@@ -168,9 +170,42 @@ def test_an_oracle_out_of_budget_fails_its_row(monkeypatch, capsys):
     assert _t1_failures(capsys) == [
         (
             "theorem1.oracle-certified", 2, 2, 1,
-            "budget exceeded: budget of 1 closure evaluations exhausted", False, "",
+            "budget exceeded: budget of 1 closure evaluations exhausted", False,
+            "lower bound 1, upper bound 3, nodes explored 2",
         )
     ]
+
+
+def test_an_exhausted_oracle_row_notes_its_bounds_in_json_alone(monkeypatch, capsys):
+    # no r = 2 oracle row runs a second closure and a budget below one is refused,
+    # so each budget is cut to none after it is made: every closure exhausts it
+    made = search._Budget.__init__
+
+    def no_closures(self, limit, cells=1):
+        made(self, limit, cells)
+        self.limit = 0
+
+    monkeypatch.setattr(search._Budget, "__init__", no_closures)
+    argv = ["verify", "theorem1", "--max-exhaustive", "6", "--max-construction", "4"]
+    assert cli.run(argv + ["--json"]) == 3
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    oracle = [(row["m"], row["n"], row["k"], row["note"]) for row in rows if "oracle" in row["suite"]]
+    assert oracle[:3] == [
+        (2, 2, 0, "lower bound 2, upper bound 4, nodes explored 1"),
+        (2, 2, 1, "lower bound 2, upper bound 3, nodes explored 1"),
+        (2, 2, 2, "lower bound 2, upper bound 2, nodes explored 1"),
+    ]
+    # the seedless k = mn rows run no closure and pass with no note
+    assert [k for m, n, k, note in oracle if not note] == [4, 6]
+    for row in rows:
+        if row["note"]:
+            lower, upper, _ = map(int, re.findall(r"\d+", row["note"]))
+            assert not row["pass"] and lower <= row["expected"] <= upper
+    # the CSV has no note column: a failing row shows only its message
+    assert cli.run(argv + ["--csv"]) == 3
+    failed = [line for line in capsys.readouterr().out.splitlines() if ",false," in line]
+    assert len(failed) == 10
+    assert all("budget exceeded: budget of 0 closure evaluations exhausted" in line for line in failed)
 
 
 def test_a_perimeter_bound_above_the_formula_fails_its_row(monkeypatch, capsys):
