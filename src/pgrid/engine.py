@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError, ParameterError
-from .grid import CellSet, PollutedInstance, Shifts
+from .grid import CellSet, PollutedInstance, Shifts, _trace_rounds
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,14 @@ class PercolationTrace:
     rounds beyond the seeds, so ``round_count == len(rounds) - 1``.  The
     instance rides along so renderers can tell polluted cells from healthy
     cells the infection never reached.
+
+    Each round equals ``CellSet(spec, mask)`` in its fields, ``==``, ``hash``
+    and ``repr``, and holds its mask, which spans up to its highest cell.
+    Where the rounds infect at least a quarter of the board, each also holds
+    a handle on one decode of every round's cells, shared by iteration and
+    rendering: the first round read decodes them all, in about log2(rounds)
+    C-level passes over the board, and the decode keeps 4 bytes a cell for as
+    long as any round lives, whether or not the trace does.
     """
 
     instance: PollutedInstance
@@ -104,7 +112,7 @@ def percolate(instance: PollutedInstance, seeds: CellSet, r: int = 2) -> Percola
     final_mask = closure_mask(Shifts.of(spec), instance.polluted.mask, seeds.mask, r, round_masks)
     return PercolationTrace(
         instance=instance,
-        rounds=tuple(CellSet(spec, mask) for mask in round_masks),
+        rounds=_trace_rounds(spec, round_masks, final_mask),
         final=CellSet(spec, final_mask),
         percolated=final_mask == instance.residual.mask,
         round_count=len(round_masks) - 1,

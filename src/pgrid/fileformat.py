@@ -89,7 +89,7 @@ def write_instance(instance: PollutedInstance, seeds: CellSet | None = None) -> 
         raise InvariantError("a seed on a polluted cell cannot be represented")
 
     canvas = bytearray((CH_HEALTHY * spec.m + "\n") * spec.n, "ascii")
-    _paint(canvas, instance.polluted.mask, CH_POLLUTED, spec.m)
-    _paint(canvas, seeds.mask, CH_SEED, spec.m)
+    _paint(canvas, instance.polluted, CH_POLLUTED)
+    _paint(canvas, seeds, CH_SEED)
     meta = f"m={spec.m} n={spec.n} topology={spec.topology.value}"
     return f"{HEADER}\n{meta}\n{canvas.decode('ascii')}"

@@ -11,11 +11,14 @@ on masks, through :class:`Shifts`.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, cycle, repeat
-from typing import Iterable, Iterator, NamedTuple
+from itertools import accumulate, chain, compress, cycle, repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidVertexError, ParameterError
 
@@ -196,23 +199,37 @@ class CellSet:
     def __iter__(self) -> Iterator[Vertex]:
         """Members in canonical index order (top row first, left to right).
 
-        The cost is that of :func:`_set_bits`, one C-level pass over the
-        board's size/8 bytes plus a Python step per member.  Each member is
-        read off the spec's table of vertices when the spec has built it, or
-        when the set holds at least a quarter of the board, which builds it
-        for every later set of the same spec; a sparser set on a spec without
-        a table builds each :class:`Vertex` the way ``Vertex._make`` does, so
-        iterating a few cells of a large board allocates no table.
+        A set of at least a quarter of the board selects its members from the
+        spec's table of vertices, which it builds for every later set of the
+        same spec, in C: :func:`_flags` and ``compress`` take a few passes over
+        the board's cells.  A sparser set decodes its indices with
+        :meth:`_indices` and reads each member off the table when the spec has
+        built it, or else builds each :class:`Vertex` the way ``Vertex._make``
+        does, so iterating a few cells of a large board allocates no table.
         """
         spec, mask = self.spec, self.mask
+        if 4 * mask.bit_count() >= spec.size:
+            return compress(spec._cells, _flags(mask, spec.size))
         cells = vars(spec).get("_cells")
-        if cells is None and 4 * mask.bit_count() >= spec.size:
-            cells = spec._cells
         if cells is not None:
-            return map(cells.__getitem__, _set_bits(mask))
+            return map(cells.__getitem__, self._indices())
         m, n = spec.m, spec.n
         new = tuple.__new__
-        return (new(Vertex, (p % m + 1, n - p // m)) for p in _set_bits(mask))
+        return (new(Vertex, (p % m + 1, n - p // m)) for p in self._indices())
+
+    def _indices(self) -> Iterable[int]:
+        """Canonical indices of the members, ascending.
+
+        A round of a trace that :func:`_trace_rounds` gave a shared decode reads
+        its indices from it, decoded for every round at once when the first is
+        read; any other set decodes its mask with :func:`_set_bits`, one
+        C-level pass over its size/8 bytes plus a Python step per member.
+        """
+        shared = getattr(self, "_decode", None)
+        if shared is None:
+            return _set_bits(self.mask)
+        decode, t = shared
+        return decode[t]
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -285,6 +302,10 @@ def _moved(table: tuple[int, ...], dx: int, dy: int, m: int, n: int) -> tuple[in
     return tuple([(c + dx) % m + (c // m + dy) % n * m for c in table])
 
 
+#: Most rounds whose cells :func:`_trace_rounds` decodes together, so that a
+#: round's label fits in two bytes; a longer trace decodes round by round.
+_MAX_GROUPED_ROUNDS = 2**16
+
 # bytes.translate table that sends every nonzero byte to 1
 _NONZERO = bytes([0]) + bytes([1]) * 255
 # the positions of the set bits of each byte value, ascending
@@ -309,13 +330,103 @@ def _set_bits(mask: int) -> Iterator[int]:
         i = find(1, i + 1)
 
 
-def _paint(canvas: bytearray, mask: int, char: str, m: int) -> None:
-    """Write ``char`` at every cell of ``mask`` on a canvas of m-cell rows, each with its newline.
+# bytes.translate table that sends the digits b"0" and b"1" to the bytes 0 and 1
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
-    The cost is that of :func:`_set_bits` plus one byte store per cell.
+
+def _flags(mask: int, size: int) -> bytes:
+    """One byte per cell of a ``size``-cell board in canonical order: 1 in ``mask``, 0 not.
+
+    Four C-level passes over ``size`` bytes: ``format``, a reversal, ``encode`` and ``translate``.
+    """
+    return format(mask, f"0{size}b")[::-1].encode().translate(_DIGITS)
+
+
+def _round_cells(masks: Sequence[int], size: int) -> bytes:
+    """The members of the disjoint ``masks``, mask after mask, each ascending, as C ints.
+
+    All the masks are decoded at once.  Mask t gets the label t, spread over
+    bit planes: plane k is the union (the masks are disjoint, so the sum) of
+    the masks whose index has bit k set.  Each plane becomes one byte per
+    cell, read as a big int, where up to eight planes, each shifted by its
+    bit, add up to a byte of every cell's label with no carry between cells.
+    Beyond 256 masks a label takes two bytes, its low and high byte
+    interleaved in the machine's order.  The labels of the union's cells then
+    send each cell to its mask's array, and the arrays are joined.  So the
+    cost is log2(len(masks)) sums of half the masks, about log2(len(masks)) + 4
+    C-level passes over the board's cells and a C-level step per member, and
+    the result holds 4 bytes a member.
+    """
+    bits = max(1, (len(masks) - 1).bit_length())
+    # plane k takes the masks whose index has bit k set: 2^k skipped, 2^k taken, ...
+    picks = (cycle(bytes(1 << k) + b"\x01" * (1 << k)) for k in range(bits))
+    planes = [sum(compress(masks, pick)) for pick in picks]
+
+    def label_bytes(planes: list[int]) -> bytes:
+        lanes = (int.from_bytes(_flags(plane, size), "little") for plane in planes)
+        return sum(lane << k for k, lane in enumerate(lanes)).to_bytes(size, "little")
+
+    labels: Sequence[int] = label_bytes(planes[:8])
+    if bits > 8:
+        # a little-endian machine stores a two-byte number's low byte first
+        wide = bytearray(2 * size)
+        wide[sys.byteorder == "big" :: 2] = labels
+        wide[sys.byteorder == "little" :: 2] = label_bytes(planes[8:])
+        labels = memoryview(wide).cast("H")
+    union = _flags(sum(masks), size)
+    buckets = [array("i") for _ in masks]
+    # array.append(bucket, p) for every member p, in ascending p, at C speed
+    to = map(buckets.__getitem__, compress(labels, union))
+    deque(map(array.append, to, compress(range(size), union)), 0)
+    # one block, not an array per mask, each with its header and spare room
+    return b"".join(buckets)
+
+
+def _trace_rounds(spec: GridSpec, masks: list[int], infected: int) -> tuple[CellSet, ...]:
+    """A trace's rounds as cell sets, ``infected`` the union of the disjoint ``masks``.
+
+    Where the rounds infect at least a quarter of the board and number at
+    most :data:`_MAX_GROUPED_ROUNDS`, each round gets a handle, outside its
+    fields, on one decode of every round by :func:`_round_cells`, made when
+    the first round's cells are read and kept while any round lives.  A
+    sparser trace costs that decode more passes over the board than its
+    rounds' own :func:`_set_bits` take, so its rounds get none.
+    """
+    rounds = tuple(CellSet(spec, mask) for mask in masks)
+    if 4 * infected.bit_count() >= spec.size and len(masks) <= _MAX_GROUPED_ROUNDS:
+        decode = _Decode(masks, spec.size)
+        # one attribute: a second would give every round a dict of its own
+        for t, cells in enumerate(rounds):
+            object.__setattr__(cells, "_decode", (decode, t))
+    return rounds
+
+
+class _Decode:
+    """The rounds of one trace, decoded together by :func:`_round_cells` when first read."""
+
+    def __init__(self, masks: list[int], size: int) -> None:
+        self.masks = masks
+        self.size = size
+
+    @cached_property
+    def _decoded(self) -> tuple[bytes, array]:
+        starts = array("i", accumulate(map(int.bit_count, self.masks), initial=0))
+        return _round_cells(self.masks, self.size), starts
+
+    def __getitem__(self, t: int) -> memoryview:
+        """The members of round ``t``, ascending."""
+        cells, starts = self._decoded
+        return memoryview(cells).cast("i")[starts[t] : starts[t + 1]]
+
+
+def _paint(canvas: bytearray, cells: CellSet, char: str) -> None:
+    """Write ``char`` at every cell of ``cells`` on a canvas of m-cell rows, each with its newline.
+
+    The cost is that of :meth:`CellSet._indices` plus one byte store per cell.
     """
     code = ord(char)
-    for p in _set_bits(mask):
+    m = cells.spec.m
+    for p in cells._indices():
         canvas[p + p // m] = code
 
 

@@ -7,18 +7,20 @@ the same information.  Tori are drawn as flat boards with a wrap annotation.
 ASCII paints each round once into one canvas, which holds each row's
 newline, and decodes every frame from it, so it is linear in its output,
 and it refuses a trace of more than ``_MAX_ASCII_CELLS`` cells in all
-frames.  SVG decodes each round's mask once with :func:`grid._set_bits`:
-one C-level pass over the board's size/8 bytes plus a Python step per cell
-drawn.  Its output is linear in the cells drawn, so on a large board a
-trace of many sparse rounds (the clean 150x150 board has 298 rounds of ~75
-cells) costs rounds x size/8 byte steps beyond its output.
+frames.  Both read each round's cells with :meth:`grid.CellSet._indices`.
+A trace that infects at least a quarter of the board decodes every round at
+once, in about log2(rounds) + 4 C-level passes over the board that round
+iteration shares (the clean 150x150 board's 298 rounds of ~75 cells take 9
+bit planes), then a Python step per cell drawn.  A sparser trace's rounds
+each take one :func:`grid._set_bits` pass over the board's size/8 bytes,
+cheaper there than passes over every cell.
 
 A document is made as pieces: the header, then one string per SVG group or
 ASCII frame, joined once from its cells and ending in its newline, then the
 footer.  ``render_trace`` joins them, so its tracemalloc peak is about twice
-the document (1.73 MiB, peak 3.48 MiB, for the clean 150x150 SVG), and
-``pgrid render`` writes them out as they are made, holding one piece at a
-time beside the trace.
+the document (1.73 MiB, peak 3.57 MiB with the trace's first decode, for
+the clean 150x150 SVG), and ``pgrid render`` writes them out as they are
+made, holding one piece at a time beside the trace.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Iterator
 
 from .engine import PercolationTrace
 from .errors import ParameterError
-from .grid import Topology, _paint, _set_bits
+from .grid import CellSet, Topology, _paint
 
 #: Largest ASCII trace, in cells over all (rounds + 1) frames: the clean 300x300
 #: board's 598 frames draw 53.8M, where the clean 1024x1024 board's need gigabytes.
@@ -60,10 +62,10 @@ def _ascii_frames(trace: PercolationTrace) -> Iterator[str]:
     m = spec.m
     # one byte per cell plus a newline closing each row, so a frame is one decode
     canvas = bytearray((b"." * m + b"\n") * spec.n)
-    _paint(canvas, trace.instance.polluted.mask, "X", m)
+    _paint(canvas, trace.instance.polluted, "X")
     yield f"{_header(trace)}\n"
     for frame, cells in enumerate(trace.rounds):
-        _paint(canvas, cells.mask, "o123456789"[frame] if frame <= 9 else "+", m)
+        _paint(canvas, cells, "o123456789"[frame] if frame <= 9 else "+")
         yield f"round {frame}:\n{canvas.decode('ascii')}"
     yield f"percolated: {'true' if trace.percolated else 'false'}\n"
 
@@ -80,9 +82,9 @@ def _svg_groups(trace: PercolationTrace) -> Iterator[str]:
         f'{y}" width="{_CELL_PX}" height="{_CELL_PX}" fill="' for y in range(0, height, _CELL_PX)
     ]
 
-    def group(opening: str, mask: int, fill: str) -> str:
+    def group(opening: str, cells: CellSet, fill: str) -> str:
         end = f'{fill}" stroke="#ffffff"/>\n'
-        rects = (starts[p % m] + middles[p // m] + end for p in _set_bits(mask))
+        rects = (starts[p % m] + middles[p // m] + end for p in cells._indices())
         return "".join([opening, *rects, "</g>\n"])
 
     yield (
@@ -92,10 +94,10 @@ def _svg_groups(trace: PercolationTrace) -> Iterator[str]:
         f"percolated: {'true' if trace.percolated else 'false'}</desc>\n"
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="{_BOARD_FILL}"/>\n'
     )
-    yield group('<g id="polluted">\n', trace.instance.polluted.mask, _POLLUTED_FILL)
+    yield group('<g id="polluted">\n', trace.instance.polluted, _POLLUTED_FILL)
     for t, cells in enumerate(trace.rounds):
         fill = _SEED_FILL if t == 0 else _ROUND_FILLS[(t - 1) % len(_ROUND_FILLS)]
-        yield group(f'<g id="round-{t}" data-round="{t}">\n', cells.mask, fill)
+        yield group(f'<g id="round-{t}" data-round="{t}">\n', cells, fill)
     yield "</svg>\n"
 
 

@@ -1,3 +1,10 @@
+import dataclasses
+import gc
+import importlib
+import pickle
+import sys
+import tracemalloc
+from collections import deque
 from itertools import product
 
 from hypothesis import given, settings
@@ -10,10 +17,13 @@ from pgrid import (
     InvariantError,
     ParameterError,
     PollutedInstance,
+    Vertex,
+    construct_extremal,
     grid,
     is_percolating,
     parse_instance,
     percolate,
+    render_trace,
     torus,
 )
 from pgrid.engine import closure_mask
@@ -227,3 +237,122 @@ def test_cumulative_perimeter_never_increases_at_threshold_two(case):
         if previous is not None:
             assert p <= previous
         previous = p
+
+
+def _clean_trace(spec):
+    """The trace of the extremal witness of a clean board, built on ``spec``."""
+    witness = construct_extremal(spec.m, spec.n, 0)
+    instance = PollutedInstance(spec, CellSet(spec, witness.instance.polluted.mask))
+    return percolate(instance, CellSet(spec, witness.seeds.mask))
+
+
+def _listed(cells):
+    members = list(cells)
+    assert all(type(v) is Vertex for v in members)
+    return [(v.i, v.j) for v in members]
+
+
+def _expected(spec, masks):
+    cells = oracles.canonical_cells(spec.m, spec.n)
+    return [[c for p, c in enumerate(cells) if mask >> p & 1] for mask in masks]
+
+
+def test_round_iteration_is_the_same_before_and_after_the_shared_decode():
+    spec, twin = grid(30, 20), grid(30, 20)
+    trace = _clean_trace(spec)
+    masks = [cells.mask for cells in trace.rounds]
+    expected = _expected(spec, masks)
+    decode = trace.rounds[0]._decode[0]
+    assert all(cells._decode == (decode, t) for t, cells in enumerate(trace.rounds))
+    assert "_decoded" not in vars(decode)
+    # the first round read decodes them all, on a spec with no table of vertices
+    assert _listed(trace.rounds[7]) == expected[7]
+    assert "_decoded" in vars(decode) and "_cells" not in vars(spec)
+    assert [_listed(cells) for cells in trace.rounds] == expected
+    # the final set builds the table, which the rounds then read
+    assert _listed(trace.final) == _expected(spec, [trace.final.mask])[0]
+    assert "_cells" in vars(spec)
+    assert [_listed(cells) for cells in trace.rounds] == expected
+    # an equal but distinct spec has no table, and its trace its own decode
+    other = _clean_trace(twin)
+    assert [_listed(CellSet(twin, mask)) for mask in masks] == expected
+    assert [_listed(cells) for cells in other.rounds] == expected
+    assert "_cells" not in vars(twin)
+    # a round kept after its trace is dropped keeps the decode, made or not
+    kept, unread = trace.rounds[5], _clean_trace(twin).rounds[5]
+    del trace, other
+    gc.collect()
+    assert _listed(kept) == _listed(unread) == expected[5]
+
+
+def test_a_round_is_valued_as_a_plain_cell_set():
+    spec = grid(12, 9)
+    trace = _clean_trace(spec)
+    decode = trace.rounds[0]._decode[0]
+    # before the decode, then after the lists of the first pass made it
+    for decoded in (False, True):
+        assert ("_decoded" in vars(decode)) == decoded
+        for cells in trace.rounds:
+            plain = CellSet(spec, cells.mask)
+            assert dataclasses.fields(cells) == dataclasses.fields(plain)
+            assert cells == plain and hash(cells) == hash(plain) and repr(cells) == repr(plain)
+            assert dataclasses.asdict(cells) == dataclasses.asdict(plain)
+        copy = pickle.loads(pickle.dumps(trace))
+        assert copy == trace
+        assert [list(cells) for cells in copy.rounds] == [list(cells) for cells in trace.rounds]
+
+
+def test_only_traces_that_infect_a_quarter_of_the_board_share_a_decode():
+    # two diagonal seeds infect a 2x2 block: a quarter of 4x4, under a quarter of 5x4
+    for m, shared in ((4, True), (5, False)):
+        spec = grid(m, 4)
+        trace = percolate(PollutedInstance.of(spec), CellSet.from_vertices(spec, [(1, 1), (2, 2)]))
+        assert len(trace.final) == 4
+        assert all(hasattr(cells, "_decode") == shared for cells in trace.rounds)
+        assert [_listed(cells) for cells in trace.rounds] == [[(2, 2), (1, 1)], [(1, 2), (2, 1)]]
+
+
+def test_a_trace_of_more_rounds_than_the_cap_decodes_round_by_round(monkeypatch):
+    # a real trace above 65,536 rounds would hold gigabytes of round masks;
+    # pgrid.grid is also the name of the board maker, so fetch the module
+    grid_module = importlib.import_module("pgrid.grid")
+    spec = grid(14, 11)
+    shared = _clean_trace(spec)
+    rounds = len(shared.rounds)
+    monkeypatch.setattr(grid_module, "_MAX_GROUPED_ROUNDS", rounds - 1)
+    alone = _clean_trace(spec)
+    assert not any(hasattr(cells, "_decode") for cells in alone.rounds)
+    monkeypatch.setattr(grid_module, "_MAX_GROUPED_ROUNDS", rounds)
+    assert all(hasattr(cells, "_decode") for cells in _clean_trace(spec).rounds)
+    assert alone == shared
+    expected = _expected(spec, [cells.mask for cells in alone.rounds])
+    assert [_listed(cells) for cells in alone.rounds] == expected
+    assert [_listed(cells) for cells in shared.rounds] == expected
+    for style in ("svg", "ascii"):
+        assert render_trace(alone, style) == render_trace(shared, style)
+
+
+def test_a_decoded_trace_holds_about_four_bytes_a_cell_beyond_its_masks():
+    spec = grid(150, 150)
+    witness = construct_extremal(150, 150, 0)
+    instance = PollutedInstance(spec, CellSet(spec, witness.instance.polluted.mask))
+    seeds = CellSet(spec, witness.seeds.mask)
+    spec._cells  # the board's table of vertices is the spec's, not the trace's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = percolate(instance, seeds)
+        made = tracemalloc.get_traced_memory()[0] - before
+        for cells in trace.rounds:
+            deque(cells, 0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    masks = sum(sys.getsizeof(cells.mask) for cells in trace.rounds)
+    rounds = len(trace.rounds)
+    assert rounds == 298 and trace.percolated
+    # the round objects and their handles cost a few hundred bytes each; the
+    # decode keeps 4 bytes a cell, and every cell of this board is in a round
+    assert made - masks <= 320 * rounds, (made, masks)
+    assert held - made <= 4.5 * spec.size, (held - made, spec.size)

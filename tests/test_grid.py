@@ -16,7 +16,7 @@ from pgrid import (
     grid,
     torus,
 )
-from pgrid.grid import MAX_CELLS, Shifts, _moved, _set_bits, _symmetries
+from pgrid.grid import MAX_CELLS, Shifts, _Decode, _moved, _set_bits, _symmetries
 
 from oracles import EDGE_SHAPES, canonical_cells, mask_of_cells, naive_adjacent, naive_symmetries
 
@@ -161,6 +161,21 @@ def test_set_bits_matches_a_bit_scan_on_sparse_and_dense_masks(width, holes, den
     sparse = sum(1 << p for p in holes if p < width)
     mask = ((1 << width) - 1) ^ sparse if dense else sparse
     assert list(_set_bits(mask)) == _bit_scan(mask)
+
+
+@pytest.mark.parametrize("count", [1, 2, 256, 257])
+@pytest.mark.parametrize("share", [0.1, 0.9])
+def test_the_grouped_decode_matches_the_per_mask_decode(count, share):
+    # 256 masks take one-byte labels and 257 two; the masks' union covers a
+    # share of the board on either side of the quarter that selects the decode
+    rng = random.Random(count)
+    size = 2000
+    masks = [0] * count
+    for p in range(size):
+        if rng.random() < share:
+            masks[rng.randrange(count)] |= 1 << p
+    decode = _Decode(masks, size)
+    assert [list(decode[t]) for t in range(count)] == [list(_set_bits(x)) for x in masks]
 
 
 def test_iteration_reaches_both_corners_of_the_largest_board():
